@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .modp import DEFAULT_PRIME, check_prime, inv_mod
+from .modp import DEFAULT_PRIME, _pow_mod_array, check_prime, inv_mod
 
 
 @lru_cache(maxsize=4096)
@@ -361,12 +361,13 @@ def random_points(nvars: int, count: int, seed: int,
                   p: int = DEFAULT_PRIME) -> list[tuple[int, ...]]:
     """Deterministic sample of projective points, uniform over P^{nvars-1}(F_p)."""
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
+    pts = np.zeros((0, nvars), dtype=np.int64)
+    while pts.shape[0] < count:
         block = rng.integers(0, p, size=(count, nvars))
-        for row in block:
-            if row.any():
-                pts.append(normalize_point(row, p))
-                if len(pts) == count:
-                    break
-    return pts
+        pts = np.concatenate([pts, block[block.any(axis=1)]])
+    pts = pts[:count]
+    # scale each row so that its last nonzero entry is 1, as normalize_point
+    last = nvars - 1 - np.argmax(pts[:, ::-1] != 0, axis=1)
+    inv = _pow_mod_array(pts[np.arange(pts.shape[0]), last], p - 2, p)
+    pts = pts * inv[:, None] % p
+    return [tuple(r) for r in pts.tolist()]

@@ -5,8 +5,11 @@ routines are deterministic: row reduction always picks the first usable
 pivot, so echelon forms, pivot lists and kernel bases never depend on
 anything but the input.
 
-The default field is F_32003; p must be an odd prime small enough that
-p**2 fits comfortably in int64 (p < 2**31 is safe).
+The default field is F_32003.  p must be an odd prime, and the row
+update of `rref` needs p**2 < 2**63 so that a product of two residues
+fits in int64.  Callers outside this module need more headroom (point
+evaluation sums several such products); the bound the package enforces is
+an open item (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -53,14 +56,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def as_matrix(rows, p: int) -> np.ndarray:
-    """Coerce nested lists / arrays to an int64 matrix reduced mod p."""
-    m = np.asarray(rows, dtype=np.int64)
-    if m.ndim != 2:
-        m = m.reshape(m.shape[0], -1) if m.ndim > 2 else np.atleast_2d(m)
-    return np.mod(m, p)
-
-
 def zeros(nrows: int, ncols: int) -> np.ndarray:
     return np.zeros((nrows, ncols), dtype=np.int64)
 
@@ -84,11 +79,14 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = row + int(nz[0])
         if pr != row:
             r[[row, pr]] = r[[pr, row]]
-        r[row] = r[row] * inv_mod(int(r[row, col]), p) % p
+        # Left of `col`, row `row` and every row still to be updated are
+        # already zero, so only the trailing columns change.
+        r[row, col:] = r[row, col:] * inv_mod(int(r[row, col]), p) % p
         other = np.nonzero(r[:, col])[0]
         other = other[other != row]
         if other.size:
-            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+            r[other, col:] = (r[other, col:]
+                              - np.outer(r[other, col], r[row, col:])) % p
         pivots.append(col)
         row += 1
     return r, pivots
@@ -113,13 +111,19 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     if nrows == 0:
         return np.eye(ncols, dtype=np.int64)
     r, pivots = rref(mat, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(len(free), ncols)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, fc])) % p
+    basis, free = _free_unit_rows(pivots, ncols)
+    basis[:, pivots] = (-r[:len(pivots)][:, free].T) % p
     return basis
+
+
+def _free_unit_rows(pivots: list[int], ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """One unit row per non-pivot column, in column order, and those columns."""
+    mask = np.ones(ncols, dtype=bool)
+    mask[pivots] = False
+    free = np.flatnonzero(mask)
+    rows = zeros(free.size, ncols)
+    rows[np.arange(free.size), free] = 1
+    return rows, free
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
@@ -143,16 +147,6 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     for i, pc in enumerate(sol_pivots):
         x[pc] = r[i, ncols:]
     return x[:, 0] if vec_in else x
-
-
-def row_space_contains(space: np.ndarray, vectors: np.ndarray, p: int) -> bool:
-    """True when every row of `vectors` lies in the row span of `space`."""
-    if vectors.size == 0:
-        return True
-    if space.size == 0:
-        return not np.mod(vectors, p).any()
-    base = rank(space, p)
-    return rank(np.concatenate([space, vectors]), p) == base
 
 
 class Echelon:
@@ -210,11 +204,7 @@ def extend_to_complement(image_rows: np.ndarray, space_rows: np.ndarray | None,
         if image_rows.size == 0:
             return np.eye(ncols, dtype=np.int64)
         _, piv = rref(image_rows, p)
-        free = [c for c in range(ncols) if c not in piv]
-        out = zeros(len(free), ncols)
-        for k, c in enumerate(free):
-            out[k, c] = 1
-        return out
+        return _free_unit_rows(piv, ncols)[0]
     ech = Echelon(space_rows.shape[1], p)
     for row in image_rows:
         ech.add(row)

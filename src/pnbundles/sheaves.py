@@ -244,28 +244,27 @@ class Presented:
         return rank(stack, p) - rank(q, p)
 
 
-def map_rank_into(T: np.ndarray, target: Presented, p: int) -> int:
-    """Rank of a linear map into a presented subquotient.
+def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarray]:
+    """Rank of a linear map into a presented subquotient, and rows spanning
+    ker(source -> subquotient).
 
     T has ambient-target rows and source columns; its image is assumed to
-    lie in span(space) + span(quot) (guaranteed by the certificates).
+    lie in span(space) + span(quot) (guaranteed by the certificates).  One
+    elimination of [T | quot.T] gives both: its kernel is the pairs (x, y)
+    with T x = -quot.T y, so by rank-nullity the map's rank is
+    m + k - nullity - rank(quot) for m source columns and k quot rows.  The
+    count uses the unprojected basis, because with dependent quot rows
+    several kernel vectors project to zero.
     """
-    img = T.T
-    q = target.quot_rows()
-    if q.size == 0:
-        return rank(img, p)
-    return rank(np.concatenate([img, q]), p) - rank(q, p)
-
-
-def kernel_into(T: np.ndarray, target: Presented, p: int) -> np.ndarray:
-    """Rows spanning ker(source -> subquotient) for the map above."""
     q = target.quot_rows()
     m = T.shape[1]
     if q.size == 0:
-        return kernel_basis(T, p)
-    aug = np.concatenate([T, q.T], axis=1)
-    full = kernel_basis(aug, p)
-    return full[:, :m] if full.size else zeros(0, m)
+        basis = kernel_basis(T, p)
+        return m - basis.shape[0], basis
+    k = q.shape[0]
+    full = kernel_basis(np.concatenate([T, q.T], axis=1), p)
+    rows = full[:, :m] if full.size else zeros(0, m)
+    return m + k - full.shape[0] - rank(q, p), rows
 
 
 # -- cohomology cells ----------------------------------------------------------
@@ -567,9 +566,9 @@ class Cohomology:
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
         G = m.graded_piece(l)
-        rank0 = map_rank_into(G, t0, p)
+        rank0, ker0 = kernel_into(G, t0, p)
         h0 = dim_a0 - rank0
-        self._h0[key] = Presented(dim_a0, kernel_into(G, t0, p), None)
+        self._h0[key] = Presented(dim_a0, ker0, None)
 
         vals: list = [h0]
         # h^1 = coker on the section strand
@@ -584,13 +583,14 @@ class Cohomology:
         T = hn_matrix(m, l)
         dim_an = T.shape[1]
         if tn is not None:
-            kerdim = dim_an - map_rank_into(T, tn, p)
+            rank_n, kern = kernel_into(T, tn, p)
+            kerdim = dim_an - rank_n
             if is_exact_cell(tvals[n - 1]):
                 vals.append(int(tvals[n - 1]) + kerdim)
             else:
                 vals.append((tvals[n - 1][0] + kerdim, tvals[n - 1][1] + kerdim))
             if tvals[n - 1] == 0:
-                self._hn[key] = Presented(dim_an, kernel_into(T, tn, p), None)
+                self._hn[key] = Presented(dim_an, kern, None)
             else:
                 self._hn[key] = None
         else:
@@ -633,7 +633,7 @@ class Cohomology:
 
         T = hn_matrix(m, l)
         if inn is not None:
-            kerdim = dim_an - map_rank_into(T, inn, p)
+            kerdim = dim_an - kernel_into(T, inn, p)[0]
             for idx, delta in ((n - 1, kerdim), (n, kerdim - dim_an)):
                 v = ivals[idx]
                 if is_exact_cell(v):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +87,20 @@ def test_random_points_deterministic():
     b = random_points(4, 20, 7)
     assert a == b
     assert all(any(c for c in q) for q in a)
+
+
+@pytest.mark.parametrize("nvars,count,seed,p", [
+    (3, 500, 90021, P), (4, 2000, 165521390, P), (6, 24, 7, P),
+    (3, 200, 3, 5), (2, 50, 9, 3), (1, 7, 2, 3), (2, 0, 1, 5)])
+def test_random_points_match_scalar_normalization(nvars, count, seed, p):
+    # reference: the same blocks of draws, zero rows skipped, each point
+    # scaled one at a time by normalize_point
+    rng = np.random.default_rng(seed)
+    ref = []
+    while len(ref) < count:
+        ref += [normalize_point(row, p)
+                for row in rng.integers(0, p, size=(count, nvars)) if row.any()]
+    assert random_points(nvars, count, seed, p) == ref[:count]
 
 
 @given(st.integers(0, 4), st.integers(0, 5))

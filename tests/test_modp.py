@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -107,3 +108,97 @@ def test_echelon_incremental():
     assert not ech.add(np.array([0, 2, 4, 6]))
     assert ech.add(np.array([1, 0, 0, 0]))
     assert ech.rank == 2
+
+
+# -- differential tests against a pure-Python exact elimination ---------------
+
+def _ref_rref(rows, ncols, p):
+    """Gauss-Jordan on lists of Python ints, first usable pivot each column."""
+    r = [[x % p for x in row] for row in rows]
+    pivots, top = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(top, len(r)) if r[i][c]), None)
+        if pr is None:
+            continue
+        r[top], r[pr] = r[pr], r[top]
+        inv = pow(r[top][c], p - 2, p)
+        r[top] = [x * inv % p for x in r[top]]
+        for i in range(len(r)):
+            if i != top and r[i][c]:
+                f = r[i][c]
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], r[top])]
+        pivots.append(c)
+        top += 1
+    return r, pivots
+
+
+def _ref_kernel(rows, ncols, p):
+    r, piv = _ref_rref(rows, ncols, p)
+    out = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(piv):
+            v[pc] = -r[i][fc] % p
+        out.append(v)
+    return out
+
+
+def _ref_complement(image, space, ncols, p):
+    """Unit vectors at the non-pivot columns of the image for the full
+    space; otherwise the space rows that enlarge the span, in order."""
+    if space is None:
+        piv = _ref_rref(image, ncols, p)[1]
+        return [[int(c == j) for j in range(ncols)]
+                for c in range(ncols) if c not in piv]
+    acc = [list(v) for v in image]
+    picked = []
+    for v in space:
+        if len(_ref_rref(acc + [v], ncols, p)[1]) > len(_ref_rref(acc, ncols, p)[1]):
+            acc.append(v)
+            picked.append(v)
+    return picked
+
+
+def _as_array(rows, ncols):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+def _rank_deficient(rng, m, n, p):
+    """An m x n matrix of rank at most min(m, n) - 1, with a repeated row
+    and a zero column when the shape allows."""
+    k = max(min(m, n) - 1, 0)
+    a = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n)) % p
+    if m > 1:
+        a[-1] = a[0]
+    if n > 1:
+        a[:, int(rng.integers(n))] = 0
+    return a
+
+
+DIFF_SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (3, 4), (6, 6), (7, 5),
+               (5, 9), (12, 10)]
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
+@pytest.mark.parametrize("m,n", DIFF_SHAPES)
+def test_elimination_matches_reference(p, m, n):
+    rng = np.random.default_rng([p, m, n])
+    cases = [np.zeros((m, n), dtype=np.int64),
+             rng.integers(0, p, size=(m, n))]
+    cases += [_rank_deficient(rng, m, n, p) for _ in range(3)]
+    for a in cases:
+        rows = a.tolist()
+        r, piv = rref(a, p)
+        ref_r, ref_piv = _ref_rref(rows, n, p)
+        assert piv == ref_piv
+        assert r.dtype == np.int64 and (r == _as_array(ref_r, n)).all()
+        if n:
+            k = kernel_basis(a, p)
+            assert k.shape == (n - len(ref_piv), n)
+            assert (k == _as_array(_ref_kernel(rows, n, p), n)).all()
+        full = extend_to_complement(a, None, p, ncols=n)
+        assert (full == _as_array(_ref_complement(rows, None, n, p), n)).all()
+        space = _rank_deficient(rng, n + 1, n, p)
+        sub = extend_to_complement(a, space, p)
+        assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()

@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
 from pnbundles.forms import Form
 from pnbundles.graded import GradedMatrix
+from pnbundles.modp import rank
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
-                               LineSum, chern_of_node, default_window,
-                               is_exact_cell, ker_node, quot_node, rank_of,
-                               serre_flip, sum_node, twist_node)
+                               LineSum, Presented, chern_of_node,
+                               default_window, is_exact_cell, ker_node,
+                               kernel_into, quot_node, rank_of, serre_flip,
+                               sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -235,3 +238,22 @@ def test_rank5_fourfold_chain():
 
 def test_default_window():
     assert list(default_window(3)) == list(range(-6, 5))
+
+
+def test_kernel_into_rank_with_dependent_quot_rows():
+    # quot rows with a repeat, a zero row and a sum of two others: several
+    # kernel vectors of [T | quot.T] project to zero, so the rank must come
+    # from the unprojected kernel
+    rng = np.random.default_rng(41)
+    T = rng.integers(0, P, size=(9, 6))
+    T[:, 5] = (T[:, 0] + 2 * T[:, 1]) % P
+    base = rng.integers(0, P, size=(3, 9))
+    q = np.concatenate([base, base[:1], np.zeros((1, 9), dtype=np.int64),
+                        (base[1:2] + base[2:3]) % P, (T[:, 2:3].T * 3) % P])
+    r, rows = kernel_into(T, Presented(9, None, q), P)
+    assert r == rank(np.concatenate([T.T, q]), P) - rank(q, P)
+    assert rank(rows, P) == T.shape[1] - r
+    # every kernel row maps into span(quot)
+    assert rank(np.concatenate([q, (T @ rows.T % P).T]), P) == rank(q, P)
+    r0, rows0 = kernel_into(T, Presented(9, None, None), P)
+    assert r0 == rank(T, P) and rows0.shape[0] == T.shape[1] - r0
