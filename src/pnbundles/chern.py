@@ -41,9 +41,6 @@ class ChernVector:
             return 1
         return self.c[i - 1] if i <= self.n else 0
 
-    def as_list(self) -> list:
-        return list(self.c)
-
     def __str__(self) -> str:
         return f"(rank {self.rank}; " + ", ".join(map(str, self.c)) + ")"
 

@@ -272,8 +272,10 @@ def cmd_catalog(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                        help="odd prime for all exact arithmetic")
+    common.add_argument("--prime", type=int, default=None,
+                        help="odd prime for all exact arithmetic "
+                             f"(default {DEFAULT_PRIME}; catalog verify "
+                             "defaults to the file's own prime)")
     common.add_argument("--seed", type=int, default=90021)
     common.add_argument("--trials", type=int, default=500)
     common.add_argument("--window", type=str, default="")
@@ -365,7 +367,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.prime_set = args.prime != DEFAULT_PRIME
+    args.prime_set = args.prime is not None
+    if not args.prime_set:
+        args.prime = DEFAULT_PRIME
     try:
         check_prime(args.prime)
         return args.func(args)

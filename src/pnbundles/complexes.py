@@ -491,11 +491,6 @@ def _column_from_solution(mat: GradedMatrix, l: int, sol: np.ndarray,
     return GradedMatrix.column(mat.nvars, -l, mat.src, cols, p)
 
 
-def hilbert_values(res: FreeComplex, window) -> dict:
-    """χ of the cokernel strand of d_1 at each l: Σ (-1)^k dim term_k piece."""
-    return {l: res.euler_piece(l) for l in window}
-
-
 def scheme_degree_from_resolution(res: FreeComplex) -> int:
     """Degree of the scheme presented by a generator-row resolution.
 

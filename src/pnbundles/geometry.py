@@ -343,8 +343,9 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
                              witness_line=line, witness_splitting=st)
 
     secs = eng.h0_basis(node, 0)
-    pts = list(hint_points) + random_points(nv, trials, seed, p)
-    pts = np.array([normalize_point(q, p) for q in pts], dtype=np.int64)
+    hints = [normalize_point(q, p) for q in hint_points]
+    pts = np.array(hints + random_points(nv, trials, seed, p),
+                   dtype=np.int64).reshape(-1, nv)
 
     dims = _fiber_dims(node, pts, p)
     bad = np.nonzero(dims != r)[0]
@@ -424,12 +425,12 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
         raise ValueError("points must be distinct")
     arr = np.array(pts, dtype=np.int64)
     ev = _monomial_values(3, d, arr, p)  # k x dim S_d
-    full = rank(ev, p)
-    for z in range(len(pts)):
-        rest = np.delete(ev, z, axis=0)
-        if rank(rest, p) != full:
-            return False
-    return True
+    # ev, then ev with row z zeroed for each z (same rank as deleting it)
+    k = len(pts)
+    stack = np.repeat(ev[None], k + 1, axis=0)
+    stack[np.arange(1, k + 1), np.arange(k)] = 0
+    ranks = batched_rank(stack, p)
+    return bool((ranks[1:] == ranks[0]).all())
 
 
 def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:

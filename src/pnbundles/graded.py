@@ -113,12 +113,6 @@ class GradedMatrix:
         return GradedMatrix(self.nvars, self.src, self.tgt + other.tgt,
                             self.entries + other.entries, self.p)
 
-    def source_dim(self, l: int) -> int:
-        return sum(space_dim(self.nvars, a + l) for a in self.src)
-
-    def target_dim(self, l: int) -> int:
-        return sum(space_dim(self.nvars, b + l) for b in self.tgt)
-
     def graded_piece(self, l: int) -> np.ndarray:
         """Linear map on degree-l sections, target-rows x source-columns."""
         nv = self.nvars
@@ -178,11 +172,6 @@ class GradedMatrix:
             deg = sum(self.tgt[r] for r in rows) - sum(self.src[c] for c in cols)
             return Form.zero(self.nvars, max(deg, 0), self.p)
         return acc
-
-    def describe(self) -> str:
-        src = " + ".join(f"O({a})" for a in self.src)
-        tgt = " + ".join(f"O({b})" for b in self.tgt)
-        return f"{src} -> {tgt}"
 
 
 def hn_matrix(m: GradedMatrix, l: int) -> np.ndarray:

@@ -7,9 +7,13 @@ anything but the input.
 
 The default field is F_32003.  p must be an odd prime, and the row
 update of `rref` needs p**2 < 2**63 so that a product of two residues
-fits in int64.  Callers outside this module need more headroom (point
-evaluation sums several such products); the bound the package enforces is
-an open item (ROADMAP item 3).
+fits in int64.  `batched_rank` needs the same bound: it never inverts,
+and updates each remaining row as piv * row - f * pivot_row with piv, f
+and the entries in [0, p), so its intermediates stay within
+[-(p-1)**2, (p-1)**2] before they are reduced.  Callers outside this
+module need more headroom (point evaluation sums several such
+products); the bound the package enforces is an open item (ROADMAP
+item 3).
 """
 
 from __future__ import annotations
@@ -218,42 +222,49 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of small matrices, shape (N, m, n) -> (N,).
 
     Vectorized Gaussian elimination across the batch; intended for m, n
-    up to a few dozen (point-evaluation fibers, tiny field tables).
+    up to a few dozen (point-evaluation fibers, tiny field tables).  The
+    stack is eliminated along its shorter side, without row swaps or
+    inverses (see the module docstring); the caller's array is not
+    modified.
     """
-    a = np.mod(np.asarray(stack, dtype=np.int64), p).copy()
+    a = np.asarray(stack, dtype=np.int64)
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)  # rank(A) = rank(A^T)
     nbatch, m, n = a.shape
-    ranks = np.zeros(nbatch, dtype=np.int64)
-    row = np.zeros(nbatch, dtype=np.int64)
-    for col in range(n):
-        live = row < m
-        if not live.any():
-            break
-        cols = a[:, :, col].copy()
-        idx = np.arange(m)[None, :]
-        below = (idx >= row[:, None]) & (cols != 0) & live[:, None]
-        has_piv = below.any(axis=1)
-        piv_row = np.where(has_piv, below.argmax(axis=1), 0)
-        sel = np.nonzero(has_piv)[0]
-        if sel.size == 0:
+    # column-major copy: column c of every matrix is the contiguous cols[c]
+    cols = _reduce(a.transpose(2, 0, 1).copy(), p)
+    used = np.zeros((nbatch, m), dtype=bool)
+    entries = np.arange(nbatch)
+    for c in range(n):
+        col = cols[c]
+        cand = (col != 0) & ~used
+        prow_idx = cand.argmax(axis=1)
+        has = cand[entries, prow_idx]
+        used[entries, prow_idx] |= has
+        if c + 1 == n or not has.any():
             continue
-        # swap pivot row up
-        r0 = row[sel]
-        pr = piv_row[sel]
-        tmp = a[sel, r0, :].copy()
-        a[sel, r0, :] = a[sel, pr, :]
-        a[sel, pr, :] = tmp
-        # normalize pivot rows (Fermat inverse, vectorized via pow on python ints
-        # is slow; use repeated squaring on the array)
-        piv = a[sel, r0, col]
-        inv = _pow_mod_array(piv, p - 2, p)
-        a[sel, r0, :] = a[sel, r0, :] * inv[:, None] % p
-        # eliminate every other row in the batch entries that have a pivot
-        factors = a[sel, :, col].copy()
-        factors[np.arange(sel.size), r0] = 0
-        a[sel] = (a[sel] - factors[:, :, None] * a[sel, r0, :][:, None, :]) % p
-        row[sel] += 1
-        ranks[sel] += 1
-    return ranks
+        # row_i <- piv * row_i - f_i * pivot_row on the trailing columns,
+        # with f_i = 0 on pivot rows (and piv = 1 where there is no pivot)
+        piv = np.where(has, col[entries, prow_idx], 1)
+        f = np.where(used, 0, col)
+        rest = cols[c + 1:]
+        prow = rest[:, entries, prow_idx]
+        rest *= piv[:, None]
+        rest -= prow[:, :, None] * f
+        _reduce(rest, p)
+    return used.sum(axis=1)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for an int64 array; returns x.
+
+    Equal to np.mod(x, p), but numpy divides by a scalar through a
+    precomputed reciprocal, which is several times faster than `%`.
+    """
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _pow_mod_array(base: np.ndarray, exp: int, p: int) -> np.ndarray:

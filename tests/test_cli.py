@@ -143,3 +143,24 @@ def test_input_error_exit_code(tmp_path):
     assert main(["chern", str(tmp_path / "missing.json")]) == 2
     bad = write(tmp_path, "bad.json", {"n": 3, "construction": {"nope": 1}})
     assert main(["chern", bad]) == 2
+
+
+def test_catalog_verify_explicit_default_prime(tmp_path, monkeypatch, capsys):
+    # an explicit --prime equal to the default must override the file's prime
+    seen = []
+
+    class Report:
+        ok = True
+
+        def render(self):
+            return ""
+
+    def fake_verify_all(catalog, trials, seed, prime):
+        seen.append(prime)
+        return Report()
+
+    monkeypatch.setattr("pnbundles.catalog.verify_all", fake_verify_all)
+    cfile = write(tmp_path, "cat.json", {"prime": 101, "entries": []})
+    assert main(["catalog", "verify", cfile, "--prime", "32003"]) == 0
+    assert main(["catalog", "verify", cfile]) == 0
+    assert seen == [32003, None]

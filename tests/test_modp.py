@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnbundles.modp import (DEFAULT_PRIME, Echelon, batched_rank,
+from pnbundles.modp import (DEFAULT_PRIME, Echelon, _reduce, batched_rank,
                             extend_to_complement, inv_mod, is_probable_prime,
                             kernel_basis, rank, rref, solve)
 
@@ -202,3 +202,35 @@ def test_elimination_matches_reference(p, m, n):
         space = _rank_deficient(rng, n + 1, n, p)
         sub = extend_to_complement(a, space, p)
         assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()
+
+
+BATCH_SHAPES = [(0, 3, 4), (6, 0, 4), (6, 4, 0), (8, 1, 1), (8, 3, 7),
+                (8, 7, 3), (8, 5, 5), (4, 12, 10)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
+@pytest.mark.parametrize("nbatch,m,n", BATCH_SHAPES)
+def test_batched_rank_matches_reference(p, nbatch, m, n):
+    rng = np.random.default_rng([p, nbatch, m, n])
+    # all-zero, rank-deficient, then random entries outside [0, p)
+    stack = np.zeros((3 * nbatch, m, n), dtype=np.int64)
+    for i in range(nbatch, 2 * nbatch):
+        stack[i] = _rank_deficient(rng, m, n, p)
+    stack[2 * nbatch:] = rng.integers(-p * p, p * p, size=(nbatch, m, n))
+    before = stack.copy()
+    want = [len(_ref_rref(a.tolist(), n, p)[1]) for a in stack]
+    got = batched_rank(stack, p)
+    assert got.shape == (3 * nbatch,) and got.tolist() == want
+    # a sliced sub-stack of a shared array: ranks of the slice, array intact
+    assert batched_rank(stack[1::2], p).tolist() == want[1::2]
+    assert (stack == before).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
+def test_reduce_matches_mod(p):
+    b = (p - 1) ** 2
+    x = np.concatenate([np.arange(-b, -b + 500), np.arange(-500, 500),
+                        np.arange(b - 500, b + 1),
+                        np.random.default_rng(p).integers(-b, b + 1, size=5000),
+                        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])])
+    assert (_reduce(x.copy(), p) == np.mod(x, p)).all()
