@@ -24,7 +24,7 @@ from .forms import parse_form
 from .geometry import (LineParam, cayley_bacharach, edge_avoidance,
                        is_globally_generated, splitting_type_on_line)
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME, check_prime
+from .modp import DEFAULT_PRIME, MAX_PRIME, check_prime
 from .pencil import classify, linear_matrix_2x4
 from .sheaves import CohTable, Cohomology, chern_of_node
 from .spectra import (Spectrum, c3_from_spectrum, enumerate_spectra,
@@ -271,19 +271,22 @@ def cmd_catalog(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None,
-                        help="odd prime for all exact arithmetic "
-                             f"(default {DEFAULT_PRIME}; catalog verify "
-                             "defaults to the file's own prime)")
-    common.add_argument("--seed", type=int, default=90021)
-    common.add_argument("--trials", type=int, default=500)
-    common.add_argument("--window", type=str, default="")
-    common.add_argument("--json", action="store_true")
-
     ap = argparse.ArgumentParser(prog="pnbundles",
-                                 description=__doc__.splitlines()[0],
-                                 parents=[common])
+                                 description=__doc__.splitlines()[0])
+    ap.set_defaults(seed=90021, trials=500, window="")
+    # The subcommands take the same options without defaults, so that they
+    # keep what was given before the subcommand name.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    for parser in (ap, common):
+        parser.add_argument("--prime", type=int,
+                            help=f"odd prime at most {MAX_PRIME} for all exact "
+                                 f"arithmetic (default {DEFAULT_PRIME}; catalog "
+                                 "verify defaults to the file's own prime)")
+        parser.add_argument("--seed", type=int)
+        parser.add_argument("--trials", type=int)
+        parser.add_argument("--window", type=str)
+        parser.add_argument("--json", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):

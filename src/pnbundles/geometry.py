@@ -14,13 +14,14 @@ from itertools import product
 
 import numpy as np
 
+from .binforms import binary_gcd_degree, poly_mul, valuations
 from .forms import (Form, monomial_basis, normalize_point, random_points,
                     space_dim)
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
-from .modp import DEFAULT_PRIME, batched_rank, inv_mod, kernel_basis, rank
+from .modp import DEFAULT_PRIME, MAX_TERMS, batched_rank, kernel_basis, rank
 from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
-                      ambient_twists, nvars_of, rank_of)
+                      ambient_twists, nvars_of, prime_of, rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "epi_certificate", "cayley_bacharach",
@@ -81,31 +82,6 @@ def _binary_coeffs(f: Form) -> np.ndarray:
     return v
 
 
-def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd of univariate coefficient vectors (lowest degree first)."""
-
-    def trim(v):
-        k = len(v)
-        while k > 0 and v[k - 1] % p == 0:
-            k -= 1
-        return v[:k] % p
-
-    a, b = trim(a.copy()), trim(b.copy())
-    while len(b):
-        # a mod b
-        while len(a) >= len(b):
-            c = a[-1] * inv_mod(int(b[-1]), p) % p
-            shift = len(a) - len(b)
-            a[shift:] = (a[shift:] - c * b) % p
-            a = trim(a)
-            if not len(a):
-                break
-        a, b = b, a
-    if not len(a):
-        return a
-    return a * inv_mod(int(a[-1]), p) % p
-
-
 def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
     """(chart gcd degree, multiplicity of the common zero at (0:1)).
 
@@ -114,20 +90,11 @@ def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
     (0:1) when every form misses its top u1-power.  Both numbers are 0
     iff the family has empty common vanishing locus.
     """
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
+    coeffs = [(_binary_coeffs(f), f.degree) for f in forms if not f.is_zero()]
+    if not coeffs:
         return -1, -1  # identically zero family
-    # chart u0 = 1: polynomial in u1, coefficients low-to-high in u1-degree
-    chart = None
-    for f in nonzero:
-        v = _binary_coeffs(f)
-        chart = v if chart is None else _poly_gcd(chart, v, p)
-    chart_deg = len(chart) - 1 if len(chart) else 0
-    # the chart misses (0:1); a form vanishes there iff its u1^deg
-    # coefficient is zero, i.e. its chart polynomial drops degree
-    inf_mult = min(f.degree - int(np.nonzero(_binary_coeffs(f))[0][-1])
-                   for f in nonzero)
-    return chart_deg, inf_mult
+    inf_mult = min(valuations(c, p)[1] for c, _ in coeffs)
+    return binary_gcd_degree(coeffs, p) - inf_mult, inf_mult
 
 
 # -- splitting types -----------------------------------------------------------
@@ -249,7 +216,11 @@ def _eval_sections(ambient, l, rows, pts, nv, p):
         d = space_dim(nv, a + l)
         if d:
             vals = _monomial_values(nv, a + l, pts, p)  # npts x d
-            out[:, :, j] = vals @ rows[:, off:off + d].T % p
+            block = rows[:, off:off + d].T
+            acc = vals[:, :MAX_TERMS] @ block[:MAX_TERMS]
+            for s in range(MAX_TERMS, d, MAX_TERMS):  # int64 holds MAX_TERMS
+                acc = acc % p + vals[:, s:s + MAX_TERMS] @ block[s:s + MAX_TERMS]
+            out[:, :, j] = acc % p
         off += d
     return out
 
@@ -331,7 +302,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     at the hint points plus `trials` seeded random points and required to
     span each fiber.
     """
-    eng = eng or Cohomology()
+    eng = eng or Cohomology(prime_of(node))
     p = eng.p
     nv = nvars_of(node)
     r = rank_of(node)
@@ -372,7 +343,7 @@ def reverify_witness(node, verdict: GGVerdict, eng: Cohomology | None = None) ->
     """Check that a negative witness still fails the span test."""
     if verdict.generated:
         return True
-    eng = eng or Cohomology()
+    eng = eng or Cohomology(prime_of(node))
     if verdict.witness_line is not None:
         st = splitting_type_on_line(node, verdict.witness_line, eng)
         return bool(st and min(st) < 0)
@@ -477,32 +448,9 @@ def edge_avoidance(line: LineParam, z_points, p: int = DEFAULT_PRIME) -> bool:
     from itertools import combinations
     for i, j in combinations(range(4), 2):
         m = np.array([line.a, line.b, z[i], z[j]], dtype=np.int64)
-        if _det_mod(m, p) == 0:
+        if rank(m, p) < 4:
             return False
     return True
-
-
-def _det_mod(m: np.ndarray, p: int) -> int:
-    a = np.mod(m.astype(np.int64), p).copy()
-    n = a.shape[0]
-    det = 1
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if a[row, col] % p:
-                piv = row
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det = det * int(a[col, col]) % p
-        inv = inv_mod(int(a[col, col]), p)
-        for row in range(col + 1, n):
-            if a[row, col]:
-                a[row] = (a[row] - int(a[row, col]) * inv * a[col]) % p
-    return det % p
 
 
 # -- line systems on a smooth quadric ----------------------------------------------
@@ -538,26 +486,12 @@ def quadric_line_component_test(lam, p: int = DEFAULT_PRIME) -> bool:
                 a = int(f0[rows[t], perm[t]])
                 b = int(f1[rows[t], perm[t]])
                 cur = np.array([a % p, (-b) % p], dtype=np.int64)
-                prod_poly = cur if prod_poly is None else _lin_mul(prod_poly, cur, p)
+                prod_poly = cur if prod_poly is None else poly_mul(prod_poly, cur, p)
             coeffs = (coeffs + sign * np.pad(prod_poly, (0, 4 - len(prod_poly)))) % p
         minors.append(coeffs % p)
-    nonzero = [m for m in minors if m.any()]
-    if not nonzero:
-        return False  # every mu gives a divisible element
-    g = None
-    for m in nonzero:
-        g = m if g is None else _poly_gcd(g, m, p)
-    # common root at mu0-chart infinity (0:1)... the chart mu1 = 1 misses
-    # (1:0), where a cubic vanishes iff its mu0^3 coefficient is zero
-    inf_mult = min(3 - int(np.nonzero(m)[0][-1]) for m in nonzero)
-    return len(g) - 1 == 0 and inf_mult == 0
-
-
-def _lin_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, ai in enumerate(a):
-        out[i:i + len(b)] = (out[i:i + len(b)] + ai * b) % p
-    return out
+    # a bad mu is a common root of the minors (binary cubics in mu); all
+    # minors zero (degree -1) means every mu gives a divisible element
+    return binary_gcd_degree([(m, 3) for m in minors], p) == 0
 
 
 def _perms3():

@@ -1,26 +1,32 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  All
-routines are deterministic: row reduction always picks the first usable
-pivot, so echelon forms, pivot lists and kernel bases never depend on
-anything but the input.
+Matrices are numpy int64 arrays with entries reduced into [0, p).  A
+reduced row echelon form is unique, and kernel bases and complements are
+read off it, so results never depend on anything but the input.
 
-The default field is F_32003.  p must be an odd prime, and the row
-update of `rref` needs p**2 < 2**63 so that a product of two residues
-fits in int64.  `batched_rank` needs the same bound: it never inverts,
-and updates each remaining row as piv * row - f * pivot_row with piv, f
-and the entries in [0, p), so its intermediates stay within
-[-(p-1)**2, (p-1)**2] before they are reduced.  Callers outside this
-module need more headroom (point evaluation sums several such
-products); the bound the package enforces is an open item (ROADMAP
-item 3).
+The default field is F_32003; p must be an odd prime of at most MAX_PRIME
+(< 2**25).  The sparse stage of `rref` and `extend_to_complement` compute
+with Python ints and are exact for any p.  The dense stage of `rref` and
+`batched_rank` need p**2 < 2**63: `batched_rank` never inverts, and
+updates each row as piv * row - f * pivot_row with piv, f and the entries
+in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
+of products of residues (`geometry._eval_sections`) is reduced every
+MAX_TERMS terms; MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 DEFAULT_PRIME = 32003
+MAX_PRIME = 33554393  # the largest prime below 2**25
+MAX_TERMS = 2**12
+
+# `rref` eliminates on the int64 array once the rows that are not yet
+# pivot rows hold at least this share of nonzeros in the block they span.
+DENSE_FILL = 0.1
 
 
 def is_probable_prime(n: int) -> bool:
@@ -50,6 +56,8 @@ def is_probable_prime(n: int) -> bool:
 def check_prime(p: int) -> int:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} is above the largest supported prime {MAX_PRIME}")
     return p
 
 
@@ -69,12 +77,39 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (R, pivot_cols).  Pivot entries are normalized to 1 and are
     the only nonzero entries in their columns.
+
+    A sparse input is first eliminated on `_SparseRows`, pivoting each
+    column on the unused row with the fewest nonzeros; once fill-in makes
+    the unused rows DENSE_FILL dense (or the input is), `_dense_rref`
+    finishes.  The form is unique, so pivot choices do not show.
     """
-    r = np.mod(np.asarray(mat, dtype=np.int64), p).copy()
+    a = np.asarray(mat, dtype=np.int64)
+    nrows, ncols = a.shape
+    if np.count_nonzero(a) >= DENSE_FILL * a.size:
+        return _dense_rref(np.mod(a, p), p, 0, [])
+    s = _SparseRows(a, p)
+    nnz = sum(map(len, s.rows))  # of the rows not yet pivot rows
+    unused = nrows
+    for c in range(ncols):
+        cand = s.cols[c] - s.used
+        if not cand:
+            continue
+        i = min(cand, key=lambda t: (len(s.rows[t]), t))
+        nnz += s.make_pivot(i, c) - len(s.rows[i])
+        unused -= 1
+        if nnz >= DENSE_FILL * unused * (ncols - c - 1) > 0:
+            return _dense_rref(s.dense(), p, c + 1, list(s.pivot))
+    return s.dense(), list(s.pivot)
+
+
+def _dense_rref(r: np.ndarray, p: int, col: int,
+                pivots: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The column loop of `rref` on r, in place, from column `col` on: rows
+    [0, len(pivots)) of r are the pivot rows of the columns in `pivots`,
+    and the rows below them are zero left of `col`."""
     nrows, ncols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
+    row = len(pivots)
+    for col in range(col, ncols):
         if row >= nrows:
             break
         nz = np.nonzero(r[row:, col])[0]
@@ -94,6 +129,66 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+class _SparseRows:
+    """Rows over F_p as {col: value} dicts of Python ints, a column ->
+    rows index, and the pivots so far (column -> row, in the order found).
+    Gauss-Jordan: a pivot column is nonzero only in its pivot row."""
+
+    def __init__(self, a: np.ndarray, p: int):
+        """From an int64 array a, not necessarily reduced mod p."""
+        self.p = p
+        self.pivot: dict[int, int] = {}
+        self.used: set[int] = set()
+        self.rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+        self.cols: list[set[int]] = [set() for _ in range(a.shape[1])]
+        i, j = np.nonzero(a)
+        v = a[i, j] % p
+        nz = v != 0
+        for t, k, x in zip(i[nz].tolist(), j[nz].tolist(), v[nz].tolist()):
+            self.rows[t][k] = x
+            self.cols[k].add(t)
+
+    def make_pivot(self, i: int, c: int) -> int:
+        """Scale row i to 1 at column c and clear c from every other row;
+        returns the net change in nonzeros of the rows not yet pivot rows."""
+        p, rows, cols = self.p, self.rows, self.cols
+        piv = rows[i]
+        scale = pow(piv[c], p - 2, p)
+        if scale != 1:
+            piv = rows[i] = {k: v * scale % p for k, v in piv.items()}
+        self.pivot[c] = i
+        self.used.add(i)
+        grown = 0
+        for t in cols[c] - {i}:
+            row = rows[t]
+            before = len(row)
+            f = row[c]
+            for k, v in piv.items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = -f * v % p
+                    cols[k].add(t)
+                elif (x := (x - f * v) % p):
+                    row[k] = x
+                else:
+                    del row[k]
+                    cols[k].discard(t)
+            if t not in self.used:
+                grown += len(row) - before
+        return grown
+
+    def dense(self) -> np.ndarray:
+        """int64 array: the pivot rows in pivot-column order, then the
+        other rows in input order."""
+        rows = [self.rows[t] for t in self.pivot.values()]
+        rows += [x for t, x in enumerate(self.rows) if t not in self.used]
+        out = zeros(len(rows), len(self.cols))
+        at = np.repeat(np.arange(len(rows)), [len(x) for x in rows])
+        out[at, list(chain.from_iterable(rows))] = list(
+            chain.from_iterable(x.values() for x in rows))
+        return out
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -153,46 +248,6 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x[:, 0] if vec_in else x
 
 
-class Echelon:
-    """Incremental row-echelon container for repeated span queries.
-
-    Rows are reduced against the stored pivots on insertion; `add` returns
-    True iff the row enlarged the span.  Deterministic: pivots are always
-    the first nonzero coordinate after reduction.
-    """
-
-    def __init__(self, ncols: int, p: int):
-        self.ncols = ncols
-        self.p = p
-        self.pivots: dict[int, np.ndarray] = {}
-
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        r = np.mod(np.asarray(row, dtype=np.int64), self.p).copy()
-        while True:
-            nz = np.nonzero(r)[0]
-            if nz.size == 0:
-                return r
-            j = int(nz[0])
-            piv = self.pivots.get(j)
-            if piv is None:
-                return r
-            r = (r - int(r[j]) * piv) % self.p
-        return r
-
-    def add(self, row: np.ndarray) -> bool:
-        r = self.reduce(row)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        self.pivots[j] = r * inv_mod(int(r[j]), self.p) % self.p
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def extend_to_complement(image_rows: np.ndarray, space_rows: np.ndarray | None,
                          p: int, ncols: int | None = None) -> np.ndarray:
     """Coset representatives for span(space_rows)/span(image_rows).
@@ -209,13 +264,17 @@ def extend_to_complement(image_rows: np.ndarray, space_rows: np.ndarray | None,
             return np.eye(ncols, dtype=np.int64)
         _, piv = rref(image_rows, p)
         return _free_unit_rows(piv, ncols)[0]
-    ech = Echelon(space_rows.shape[1], p)
-    for row in image_rows:
-        ech.add(row)
-    picked = [row for row in space_rows if ech.add(row)]
-    if picked:
-        return np.array(picked, dtype=np.int64)
-    return zeros(0, space_rows.shape[1])
+    space = np.asarray(space_rows, dtype=np.int64)
+    img = np.asarray(image_rows, dtype=np.int64).reshape(len(image_rows), space.shape[1])
+    s = _SparseRows(np.concatenate([img, space]), p)
+    # Every pivot column is cleared from all rows, the later ones too, so a
+    # row is zero when it is reached iff the rows before it span it.
+    kept = []
+    for t, row in enumerate(s.rows):
+        if row:
+            s.make_pivot(t, min(row))
+            kept.append(t - len(img))
+    return space[[t for t in kept if t >= 0]]
 
 
 def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from .chern import (ChernVector, dual_chern, line_sum_chern, whitney_div,
                     whitney_mul)
 from .forms import Form, random_points, space_dim
 from .graded import GradedMatrix, hn_matrix
-from .modp import (DEFAULT_PRIME, extend_to_complement, kernel_basis, rank,
-                   zeros)
+from .modp import (DEFAULT_PRIME, check_prime, extend_to_complement,
+                   kernel_basis, rank, zeros)
 
 DEFAULT_CERT_SEED = 200001
 DEFAULT_CERT_SAMPLES = 24
@@ -349,7 +349,7 @@ class Cohomology:
 
     def __init__(self, p: int = DEFAULT_PRIME, cert_seed: int = DEFAULT_CERT_SEED,
                  cert_samples: int = DEFAULT_CERT_SAMPLES):
-        self.p = p
+        self.p = check_prime(p)
         self.cert_seed = cert_seed
         self.cert_samples = cert_samples
         self._values: dict = {}
@@ -361,6 +361,9 @@ class Cohomology:
 
     def certify(self, node) -> None:
         """Validate all epi/mono certificates in the DAG (cached)."""
+        if prime_of(node) != self.p:
+            raise ValueError(f"node is over F_{prime_of(node)}, "
+                             f"the engine over F_{self.p}")
         if node in self._cert:
             if self._cert[node] is not True:
                 raise CertificationError(self._cert[node])

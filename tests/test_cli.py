@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from pnbundles.cli import main
+from pnbundles.cli import build_parser, main
+from pnbundles.modp import MAX_PRIME
 
 CATALOG = str(Path(__file__).resolve().parents[1] / "catalog" / "catalog.json")
 
@@ -164,3 +165,25 @@ def test_catalog_verify_explicit_default_prime(tmp_path, monkeypatch, capsys):
     assert main(["catalog", "verify", cfile, "--prime", "32003"]) == 0
     assert main(["catalog", "verify", cfile]) == 0
     assert seen == [32003, None]
+
+
+COMMON = ["--prime", "5", "--seed", "7", "--trials", "60", "--window=-3:-2", "--json"]
+
+
+@pytest.mark.parametrize("command", [["gg", "node.json"], ["catalog", "verify"]])
+@pytest.mark.parametrize("before", [True, False])
+def test_common_options_either_side_of_subcommand(command, before):
+    argv = COMMON + command if before else command + COMMON
+    args = build_parser().parse_args(argv)
+    assert (args.prime, args.seed, args.trials, args.window, args.json) == \
+        (5, 7, 60, "-3:-2", True)
+    args = build_parser().parse_args(command)
+    assert (args.prime, args.seed, args.trials, args.window, args.json) == \
+        (None, 90021, 500, "", False)
+
+
+def test_prime_above_max_exit_code(capsys):
+    rr = ["rr", "--n", "2", "--rank", "1", "--c", "1,0", "--json"]
+    assert main(["--prime", str(MAX_PRIME)] + rr) == 0
+    assert main(["--prime", "33554467"] + rr) == 2  # the next prime
+    assert "largest supported prime" in capsys.readouterr().err

@@ -178,3 +178,18 @@ def test_quadric_line_component():
                np.array([[0, 0, 0, 1], [1, 0, 0, 0]]),
                np.array([[0, 0, 1, 0], [0, -1, 0, 0]])]
     assert not quadric_line_component_test(lam_sym)
+
+
+def test_gg_engine_prime_follows_node():
+    x = [Form.variable(4, i, 101) for i in range(4)]
+    node = ker_node(GradedMatrix.row(4, (2, 2, 1, 1), 3,
+                                     [x[0], x[1], x[2] * x[2], x[3] * x[3]], 101))
+    line = LineParam.make((0, 0, 1, 0), (0, 0, 0, 1), 101)
+    own = is_globally_generated(node, trials=20, hint_lines=[line])
+    assert own == is_globally_generated(node, trials=20, hint_lines=[line],
+                                        eng=Cohomology(101))
+    assert not own.generated and reverify_witness(node, own)
+    omega = ker_node(GradedMatrix.row(4, (1, 1, 1, 1), 2, x, 101))
+    assert is_globally_generated(omega, trials=20).generated
+    with pytest.raises(ValueError, match="F_101"):
+        is_globally_generated(omega, trials=20, eng=Cohomology(P))

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pnbundles.modp import (DEFAULT_PRIME, Echelon, _reduce, batched_rank,
-                            extend_to_complement, inv_mod, is_probable_prime,
-                            kernel_basis, rank, rref, solve)
+from pnbundles import modp
+from pnbundles.graded import GradedMatrix
+from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
+                            check_prime, extend_to_complement, inv_mod,
+                            is_probable_prime, kernel_basis, rank, rref, solve)
 
 P = DEFAULT_PRIME
 
@@ -102,12 +104,15 @@ def test_extend_to_complement_subspace():
     assert rank(np.concatenate([img, reps]), P) == 2
 
 
-def test_echelon_incremental():
-    ech = Echelon(4, P)
-    assert ech.add(np.array([0, 1, 2, 3]))
-    assert not ech.add(np.array([0, 2, 4, 6]))
-    assert ech.add(np.array([1, 0, 0, 0]))
-    assert ech.rank == 2
+def test_check_prime_bound():
+    assert check_prime(MAX_PRIME) == MAX_PRIME
+    assert MAX_PRIME < 2**25 and is_probable_prime(MAX_PRIME)
+    assert all(not is_probable_prime(q) for q in range(MAX_PRIME + 2, 2**25, 2))
+    for q in (33554467, 2**31 - 1, 4294967311):  # primes above the bound
+        with pytest.raises(ValueError, match="largest supported prime"):
+            check_prime(q)
+    # the sums the bound allows stay inside int64
+    assert modp.MAX_TERMS * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**63
 
 
 # -- differential tests against a pure-Python exact elimination ---------------
@@ -180,6 +185,25 @@ DIFF_SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (3, 4), (6, 6), (7, 5),
                (5, 9), (12, 10)]
 
 
+def _check_against_reference(a, space, p):
+    """rref, kernel_basis and both branches of extend_to_complement on `a`
+    equal the pure-Python references."""
+    m, n = a.shape
+    rows = a.tolist()
+    r, piv = rref(a, p)
+    ref_r, ref_piv = _ref_rref(rows, n, p)
+    assert piv == ref_piv
+    assert r.dtype == np.int64 and (r == _as_array(ref_r, n)).all()
+    if n:
+        k = kernel_basis(a, p)
+        assert k.shape == (n - len(ref_piv), n)
+        assert (k == _as_array(_ref_kernel(rows, n, p), n)).all()
+    full = extend_to_complement(a, None, p, ncols=n)
+    assert (full == _as_array(_ref_complement(rows, None, n, p), n)).all()
+    sub = extend_to_complement(a, space, p)
+    assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()
+
+
 @pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
 @pytest.mark.parametrize("m,n", DIFF_SHAPES)
 def test_elimination_matches_reference(p, m, n):
@@ -188,20 +212,102 @@ def test_elimination_matches_reference(p, m, n):
              rng.integers(0, p, size=(m, n))]
     cases += [_rank_deficient(rng, m, n, p) for _ in range(3)]
     for a in cases:
-        rows = a.tolist()
-        r, piv = rref(a, p)
-        ref_r, ref_piv = _ref_rref(rows, n, p)
-        assert piv == ref_piv
-        assert r.dtype == np.int64 and (r == _as_array(ref_r, n)).all()
-        if n:
-            k = kernel_basis(a, p)
-            assert k.shape == (n - len(ref_piv), n)
-            assert (k == _as_array(_ref_kernel(rows, n, p), n)).all()
-        full = extend_to_complement(a, None, p, ncols=n)
-        assert (full == _as_array(_ref_complement(rows, None, n, p), n)).all()
-        space = _rank_deficient(rng, n + 1, n, p)
-        sub = extend_to_complement(a, space, p)
-        assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()
+        _check_against_reference(a, _rank_deficient(rng, n + 1, n, p), p)
+
+
+# -- the sparse stage of rref and its hand-off to the dense loop ---------------
+
+def _block_diagonal(rng, p, nblocks=16):
+    """Random blocks of 1..5 rows and columns, some rank-deficient, on the
+    diagonal, then rows and columns permuted at random."""
+    blocks = []
+    for b in range(nblocks):
+        h, w = (int(x) for x in rng.integers(1, 6, size=2))
+        blocks.append(_rank_deficient(rng, h, w, p) if b % 3 == 0
+                      else rng.integers(0, p, size=(h, w)))
+    a = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                 dtype=np.int64)
+    i = j = 0
+    for b in blocks:
+        a[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
+def _graded_pieces(p):
+    """Multiplication matrices of sparse forms on P^3, and their transposes."""
+    m = GradedMatrix.make(4, (2, 2, 2, 1), (3, 3),
+                          [["x0", "x1", "0", "x3^2"], ["0", "-x2", "x3", "x0*x1"]], p)
+    for l in (0, 1):
+        g = m.graded_piece(l)
+        yield g
+        yield g.T
+
+
+def _sparse_inputs(p):
+    """Inputs below DENSE_FILL, so that rref starts on the sparse stage."""
+    rng = np.random.default_rng([p, 17])
+    for _ in range(3):
+        yield _block_diagonal(rng, p)
+    # entries outside [0, p), some of them nonzero but zero mod p
+    a = _block_diagonal(rng, p)
+    yield a - p * (rng.random(a.shape) < 0.02)
+    yield from _graded_pieces(p)
+    # a sparse random matrix whose fill-in crosses DENSE_FILL partway
+    yield _handoff_input(p)
+
+
+def _handoff_input(p):
+    rng = np.random.default_rng([p, 23])
+    return rng.integers(1, p, size=(40, 44)) * (rng.random((40, 44)) < 0.06)
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
+def test_sparse_elimination_matches_reference(p):
+    rng = np.random.default_rng([p, 29])
+    sparse = list(_sparse_inputs(p))
+    assert all(np.count_nonzero(a) < modp.DENSE_FILL * a.size for a in sparse)
+    dense = [rng.integers(1, p, size=(14, 17)), _rank_deficient(rng, 17, 14, p)]
+    for a in sparse + dense:
+        n = a.shape[1]
+        space = rng.integers(0, p, size=(6, n)) * (rng.random((6, n)) < 0.2)
+        space[3] = (space[0] + 2 * space[1]) % p  # a dependent space row
+        _check_against_reference(a, space, p)
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
+def test_dense_handoff_happens_partway(p, monkeypatch):
+    starts = []
+    dense = modp._dense_rref
+
+    def spy(r, p, col, pivots):
+        starts.append((col, len(pivots)))
+        return dense(r, p, col, pivots)
+
+    monkeypatch.setattr(modp, "_dense_rref", spy)
+    a = _handoff_input(p)
+    assert np.count_nonzero(a) < modp.DENSE_FILL * a.size
+    rref(a, p)
+    assert len(starts) == 1 and 0 < starts[0][0] < a.shape[1] and starts[0][1] > 0
+
+
+def test_fewest_nonzeros_pivot(monkeypatch):
+    # column 0 is nonzero in rows 2, 5 and 9; row 9 has the fewest nonzeros
+    a = np.zeros((12, 20), dtype=np.int64)
+    a[2, [0, 3, 4, 7]] = [3, 1, 4, 1]
+    a[5, [0, 6, 8]] = [5, 9, 2]
+    a[9, [0, 11]] = [6, 5]
+    a[10, [3, 11, 19]] = [3, 5, 8]
+    picked = []
+    make_pivot = modp._SparseRows.make_pivot
+
+    def spy(self, i, c):
+        picked.append((c, i))
+        return make_pivot(self, i, c)
+
+    monkeypatch.setattr(modp._SparseRows, "make_pivot", spy)
+    _check_against_reference(a, _rank_deficient(np.random.default_rng(1), 5, 20, P), P)
+    assert (0, 9) in picked
 
 
 BATCH_SHAPES = [(0, 3, 4), (6, 0, 4), (6, 4, 0), (8, 1, 1), (8, 3, 7),

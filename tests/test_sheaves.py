@@ -257,3 +257,12 @@ def test_kernel_into_rank_with_dependent_quot_rows():
     assert rank(np.concatenate([q, (T @ rows.T % P).T]), P) == rank(q, P)
     r0, rows0 = kernel_into(T, Presented(9, None, None), P)
     assert r0 == rank(T, P) and rows0.shape[0] == T.shape[1] - r0
+
+
+def test_engine_rejects_node_over_another_prime():
+    node = LineSum.make(4, (1, 2), 101)
+    with pytest.raises(ValueError, match="F_101"):
+        Cohomology(P).h(node, 0, 1)
+    assert Cohomology(101).h(node, 0, 1) == 10 + 20
+    with pytest.raises(ValueError):
+        Cohomology(4294967311)
