@@ -68,6 +68,7 @@ class Form:
 
     @staticmethod
     def make(nvars: int, degree: int, coeffs: dict, p: int = DEFAULT_PRIME) -> "Form":
+        check_prime(p)
         clean = {}
         for expo, c in coeffs.items():
             expo = tuple(int(e) for e in expo)

@@ -19,7 +19,8 @@ from .forms import (Form, monomial_basis, normalize_point, random_points,
                     space_dim)
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
-from .modp import DEFAULT_PRIME, MAX_TERMS, batched_rank, kernel_basis, rank
+from .modp import (DEFAULT_PRIME, MAX_TERMS, batched_rank, check_prime,
+                   kernel_basis, rank)
 from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
                       ambient_twists, nvars_of, prime_of, rank_of)
 
@@ -40,6 +41,7 @@ class LineParam:
 
     @staticmethod
     def make(a, b, p: int = DEFAULT_PRIME) -> "LineParam":
+        check_prime(p)
         a = normalize_point(a, p)
         b = normalize_point(b, p)
         m = np.array([a, b], dtype=np.int64)
@@ -211,11 +213,14 @@ def _eval_sections(ambient, l, rows, pts, nv, p):
     """Section values at points: array (npoints, nsections, nsummands)."""
     npts, nsec = pts.shape[0], rows.shape[0]
     out = np.zeros((npts, nsec, len(ambient)), dtype=np.int64)
+    values = {}  # per twist: npts x d monomial values
     off = 0
     for j, a in enumerate(ambient):
         d = space_dim(nv, a + l)
         if d:
-            vals = _monomial_values(nv, a + l, pts, p)  # npts x d
+            vals = values.get(a)
+            if vals is None:
+                vals = values[a] = _monomial_values(nv, a + l, pts, p)
             block = rows[:, off:off + d].T
             acc = vals[:, :MAX_TERMS] @ block[:MAX_TERMS]
             for s in range(MAX_TERMS, d, MAX_TERMS):  # int64 holds MAX_TERMS

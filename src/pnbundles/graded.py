@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .forms import Form, multiplication_matrix, parse_form, space_dim
-from .modp import DEFAULT_PRIME
+from .modp import DEFAULT_PRIME, check_prime
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class GradedMatrix:
 
     @staticmethod
     def make(nvars: int, src, tgt, entries, p: int = DEFAULT_PRIME) -> "GradedMatrix":
+        check_prime(p)
         src = tuple(int(a) for a in src)
         tgt = tuple(int(b) for b in tgt)
         if len(entries) != len(tgt):

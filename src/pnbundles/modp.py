@@ -10,12 +10,16 @@ with Python ints and are exact for any p.  The dense stage of `rref` and
 `batched_rank` need p**2 < 2**63: `batched_rank` never inverts, and
 updates each row as piv * row - f * pivot_row with piv, f and the entries
 in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
-of products of residues (`geometry._eval_sections`) is reduced every
-MAX_TERMS terms; MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.
+of products of residues is reduced every MAX_TERMS terms, and
+MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Two such sums exist:
+`geometry._eval_sections`, and the product in `batched_rank` that clears
+the pivot columns of the rows shared by the whole stack from the other
+rows of every matrix (one term per shared pivot).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -53,6 +57,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64, typed=True)  # constructors call it on every form
 def check_prime(p: int) -> int:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
@@ -281,12 +286,45 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of small matrices, shape (N, m, n) -> (N,).
 
     Vectorized Gaussian elimination across the batch; intended for m, n
-    up to a few dozen (point-evaluation fibers, tiny field tables).  The
-    stack is eliminated along its shorter side, without row swaps or
+    up to a few dozen (point-evaluation fibers, tiny field tables).  Rows
+    that are equal, as integers, in every matrix (constant sections of a
+    trivial bundle) are reduced once by `rref`, to rank rho with pivot
+    columns P; the other rows of every matrix lose their P entries in one
+    batched product, and only that residual is eliminated per matrix.
+    The elimination runs along the shorter side, without row swaps or
     inverses (see the module docstring); the caller's array is not
     modified.
     """
     a = np.asarray(stack, dtype=np.int64)
+    shared = _shared_rows(a)
+    if not shared.any():
+        return _batched_rank(a, p)
+    r, piv = rref(a[0, shared], p)
+    rest = _reduce(a[:, ~shared], p)  # a copy
+    free = np.ones(a.shape[2], dtype=bool)
+    free[piv] = False
+    x, y = rest[:, :, piv], r[:len(piv)][:, free]
+    acc = x[:, :, :MAX_TERMS] @ y[:MAX_TERMS]
+    for s in range(MAX_TERMS, len(piv), MAX_TERMS):  # int64 holds MAX_TERMS
+        acc = _reduce(acc, p) + x[:, :, s:s + MAX_TERMS] @ y[s:s + MAX_TERMS]
+    return len(piv) + _batched_rank(rest[:, :, free] - acc, p)
+
+
+def _shared_rows(a: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, m, n) stack that are equal in every
+    matrix; comparing the first and last matrix first keeps the usual
+    stack, with no such row, at O(m n)."""
+    if a.size == 0:
+        return np.zeros(a.shape[1], dtype=bool)
+    same = (a[0] == a[-1]).all(axis=1)
+    if same.any():
+        same &= (a == a[0]).all(axis=(0, 2))
+    return same
+
+
+def _batched_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """The elimination of `batched_rank` on every matrix of an int64
+    stack, entries of any size; a is not modified."""
     if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1)  # rank(A) = rank(A^T)
     nbatch, m, n = a.shape

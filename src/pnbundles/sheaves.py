@@ -43,6 +43,7 @@ class LineSum:
 
     @staticmethod
     def make(nvars, twists, p=DEFAULT_PRIME):
+        check_prime(p)
         return LineSum(nvars, tuple(int(a) for a in twists), p)
 
 

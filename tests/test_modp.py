@@ -4,10 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pnbundles import modp
+from pnbundles.forms import Form
+from pnbundles.geometry import LineParam
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
                             check_prime, extend_to_complement, inv_mod,
                             is_probable_prime, kernel_basis, rank, rref, solve)
+from pnbundles.sheaves import LineSum
 
 P = DEFAULT_PRIME
 
@@ -113,6 +116,19 @@ def test_check_prime_bound():
             check_prime(q)
     # the sums the bound allows stay inside int64
     assert modp.MAX_TERMS * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**63
+
+
+@pytest.mark.parametrize("q", [4294967311, 32004, 2, 1, 9])
+@pytest.mark.parametrize("make", [
+    lambda q: Form.make(3, 1, {(1, 0, 0): 1}, q),
+    lambda q: GradedMatrix.make(3, (0,), (1,), [["x0"]], q),
+    lambda q: LineSum.make(3, (0, 1), q),
+    lambda q: LineParam.make((1, 0, 0), (0, 1, 0), q),
+], ids=["Form", "GradedMatrix", "LineSum", "LineParam"])
+def test_constructors_reject_bad_moduli(make, q):
+    with pytest.raises(ValueError, match="modulus"):
+        make(q)
+    assert make(101).p == 101
 
 
 # -- differential tests against a pure-Python exact elimination ---------------
@@ -314,6 +330,31 @@ BATCH_SHAPES = [(0, 3, 4), (6, 0, 4), (6, 4, 0), (8, 1, 1), (8, 3, 7),
                 (8, 7, 3), (8, 5, 5), (4, 12, 10)]
 
 
+def _check_batched_rank(stack, p):
+    """batched_rank equals the reference rank of every matrix and leaves
+    the stack intact; returns the ranks."""
+    before = stack.copy()
+    want = [len(_ref_rref(a.tolist(), stack.shape[2], p)[1]) for a in stack]
+    got = batched_rank(stack, p)
+    assert got.shape == (len(stack),) and got.tolist() == want
+    assert (stack == before).all()
+    return want
+
+
+def _shared_blocks(rng, m, n, p):
+    """Blocks of rows to share across a stack: random, dependent, zero,
+    entries outside [0, p), and (when m > n) n rows of rank n, which leave
+    the residual no free column."""
+    for k in sorted({1, m // 2, m} & set(range(1, m + 1))):
+        yield rng.integers(0, p, size=(k, n))
+        yield _rank_deficient(rng, k, n, p)
+        yield np.zeros((k, n), dtype=np.int64)
+        yield rng.integers(-p * p, p * p, size=(k, n))
+    if m > n:
+        yield (np.diag(rng.integers(1, p, size=n))
+               + np.triu(rng.integers(0, p, size=(n, n)), 1))
+
+
 @pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
 @pytest.mark.parametrize("nbatch,m,n", BATCH_SHAPES)
 def test_batched_rank_matches_reference(p, nbatch, m, n):
@@ -323,13 +364,57 @@ def test_batched_rank_matches_reference(p, nbatch, m, n):
     for i in range(nbatch, 2 * nbatch):
         stack[i] = _rank_deficient(rng, m, n, p)
     stack[2 * nbatch:] = rng.integers(-p * p, p * p, size=(nbatch, m, n))
-    before = stack.copy()
-    want = [len(_ref_rref(a.tolist(), n, p)[1]) for a in stack]
-    got = batched_rank(stack, p)
-    assert got.shape == (3 * nbatch,) and got.tolist() == want
+    want = _check_batched_rank(stack, p)
     # a sliced sub-stack of a shared array: ranks of the slice, array intact
     assert batched_rank(stack[1::2], p).tolist() == want[1::2]
-    assert (stack == before).all()
+    # one matrix: every row is shared by the whole stack
+    assert batched_rank(stack[-1:], p).tolist() == want[-1:]
+    # some or all rows shared by every matrix, at leading or scattered rows
+    for block in _shared_blocks(rng, m, n, p):
+        k = block.shape[0]
+        for rows in (np.arange(k), np.sort(rng.permutation(m)[:k])):
+            v = stack.copy()
+            v[:, rows] = block
+            _check_batched_rank(v, p)
+            if len(v) > 1 and n:
+                assert modp._shared_rows(v)[rows].all()
+                # equal mod p but not as integers: not shared, same ranks
+                v[-1, rows] += p
+                _check_batched_rank(v, p)
+    # every matrix equal, passed as a read-only broadcast view
+    if m and n:
+        a = rng.integers(0, p, size=(m, n))
+        ranks = batched_rank(np.broadcast_to(a, (5, m, n)), p)
+        assert ranks.tolist() == [len(_ref_rref(a.tolist(), n, p)[1])] * 5
+
+
+def test_batched_rank_eliminates_only_the_residual(monkeypatch):
+    # 35 shared rows of rank 30 and 6 varying rows: rank 30 + the rank of
+    # the 6 rows with the 30 pivot columns cleared, 5 columns left
+    rng = np.random.default_rng(41)
+    shared = rng.integers(0, P, size=(30, 35))
+    shared = np.concatenate([shared, shared[:5] * 2 % P])
+    stack = rng.integers(0, P, size=(20, 41, 35))
+    stack[:, 3:38] = shared
+    stack[7, 38:] = stack[7, :3]  # varying rows that repeat in one matrix
+    stack[-1, 40] = stack[0, 40]  # equal in the first and last matrix only
+    seen = []
+    kernel = modp._batched_rank
+
+    def spy(a, p):
+        seen.append(a.shape)
+        return kernel(a, p)
+
+    monkeypatch.setattr(modp, "_batched_rank", spy)
+    _check_batched_rank(stack, P)
+    assert seen == [(20, 6, 5)]
+    seen.clear()
+    _check_batched_rank(stack[:, 3:], P)  # no varying row at the top
+    assert seen == [(20, 3, 5)]
+    # entries far outside [0, p), equal mod p to the ones above
+    big = stack + P * rng.integers(-2**40, 2**40, size=stack.shape)
+    big[:, 3:38] = stack[:, 3:38] + P * 2**40
+    assert batched_rank(big, P).tolist() == batched_rank(stack, P).tolist()
 
 
 @pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
