@@ -19,8 +19,8 @@ from .forms import (Form, monomial_basis, normalize_point, random_points,
                     space_dim)
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
-from .modp import (DEFAULT_PRIME, MAX_TERMS, batched_rank, check_prime,
-                   kernel_basis, rank)
+from .modp import (DEFAULT_PRIME, batched_rank, check_prime, kernel_basis,
+                   matmul_mod, rank)
 from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
                       ambient_twists, nvars_of, prime_of, rank_of)
 
@@ -221,11 +221,7 @@ def _eval_sections(ambient, l, rows, pts, nv, p):
             vals = values.get(a)
             if vals is None:
                 vals = values[a] = _monomial_values(nv, a + l, pts, p)
-            block = rows[:, off:off + d].T
-            acc = vals[:, :MAX_TERMS] @ block[:MAX_TERMS]
-            for s in range(MAX_TERMS, d, MAX_TERMS):  # int64 holds MAX_TERMS
-                acc = acc % p + vals[:, s:s + MAX_TERMS] @ block[s:s + MAX_TERMS]
-            out[:, :, j] = acc % p
+            out[:, :, j] = matmul_mod(vals, rows[:, off:off + d].T, p)
         off += d
     return out
 

@@ -10,11 +10,11 @@ with Python ints and are exact for any p.  The dense stage of `rref` and
 `batched_rank` need p**2 < 2**63: `batched_rank` never inverts, and
 updates each row as piv * row - f * pivot_row with piv, f and the entries
 in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
-of products of residues is reduced every MAX_TERMS terms, and
-MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Two such sums exist:
-`geometry._eval_sections`, and the product in `batched_rank` that clears
-the pivot columns of the rows shared by the whole stack from the other
-rows of every matrix (one term per shared pivot).
+of products of residues is reduced every MAX_TERMS terms (`matmul_mod`),
+and MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Its callers are
+`geometry._eval_sections` and `batched_rank`, whose product clears the
+pivot columns of the rows shared by the whole stack from the other rows
+of every matrix (one term per shared pivot).
 """
 
 from __future__ import annotations
@@ -290,7 +290,8 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     that are equal, as integers, in every matrix (constant sections of a
     trivial bundle) are reduced once by `rref`, to rank rho with pivot
     columns P; the other rows of every matrix lose their P entries in one
-    batched product, and only that residual is eliminated per matrix.
+    batched product (`matmul_mod`), and only that residual is eliminated
+    per matrix.
     The elimination runs along the shorter side, without row swaps or
     inverses (see the module docstring); the caller's array is not
     modified.
@@ -303,22 +304,31 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     rest = _reduce(a[:, ~shared], p)  # a copy
     free = np.ones(a.shape[2], dtype=bool)
     free[piv] = False
-    x, y = rest[:, :, piv], r[:len(piv)][:, free]
-    acc = x[:, :, :MAX_TERMS] @ y[:MAX_TERMS]
-    for s in range(MAX_TERMS, len(piv), MAX_TERMS):  # int64 holds MAX_TERMS
-        acc = _reduce(acc, p) + x[:, :, s:s + MAX_TERMS] @ y[s:s + MAX_TERMS]
+    acc = matmul_mod(rest[:, :, piv], r[:len(piv)][:, free], p)
     return len(piv) + _batched_rank(rest[:, :, free] - acc, p)
+
+
+def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for int64 arrays with entries in [0, p), reduced every
+    MAX_TERMS terms of each sum so that int64 holds it."""
+    acc = x[..., :MAX_TERMS] @ y[:MAX_TERMS]
+    for s in range(MAX_TERMS, x.shape[-1], MAX_TERMS):
+        acc = _reduce(acc, p) + x[..., s:s + MAX_TERMS] @ y[s:s + MAX_TERMS]
+    return _reduce(acc, p)
 
 
 def _shared_rows(a: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (N, m, n) stack that are equal in every
-    matrix; comparing the first and last matrix first keeps the usual
-    stack, with no such row, at O(m n)."""
+    matrix.  Only the rows equal in the first and last matrix, which keeps
+    the usual stack with no such row at O(m n), and the rows between them
+    are compared across the stack; the span is a view, not a copy."""
     if a.size == 0:
         return np.zeros(a.shape[1], dtype=bool)
     same = (a[0] == a[-1]).all(axis=1)
-    if same.any():
-        same &= (a == a[0]).all(axis=(0, 2))
+    rows = np.flatnonzero(same)
+    if len(rows):
+        lo, hi = rows[0], rows[-1] + 1
+        same[lo:hi] &= (a[:, lo:hi] == a[0, lo:hi]).all(axis=(0, 2))
     return same
 
 

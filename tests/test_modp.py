@@ -9,7 +9,8 @@ from pnbundles.geometry import LineParam
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
                             check_prime, extend_to_complement, inv_mod,
-                            is_probable_prime, kernel_basis, rank, rref, solve)
+                            is_probable_prime, kernel_basis, matmul_mod, rank,
+                            rref, solve)
 from pnbundles.sheaves import LineSum
 
 P = DEFAULT_PRIME
@@ -365,10 +366,12 @@ def test_batched_rank_matches_reference(p, nbatch, m, n):
         stack[i] = _rank_deficient(rng, m, n, p)
     stack[2 * nbatch:] = rng.integers(-p * p, p * p, size=(nbatch, m, n))
     want = _check_batched_rank(stack, p)
+    before = stack.copy()
     # a sliced sub-stack of a shared array: ranks of the slice, array intact
-    assert batched_rank(stack[1::2], p).tolist() == want[1::2]
+    assert _check_batched_rank(stack[1::2], p) == want[1::2]
     # one matrix: every row is shared by the whole stack
-    assert batched_rank(stack[-1:], p).tolist() == want[-1:]
+    assert _check_batched_rank(stack[-1:], p) == want[-1:]
+    assert (stack == before).all()
     # some or all rows shared by every matrix, at leading or scattered rows
     for block in _shared_blocks(rng, m, n, p):
         k = block.shape[0]
@@ -415,6 +418,25 @@ def test_batched_rank_eliminates_only_the_residual(monkeypatch):
     big = stack + P * rng.integers(-2**40, 2**40, size=stack.shape)
     big[:, 3:38] = stack[:, 3:38] + P * 2**40
     assert batched_rank(big, P).tolist() == batched_rank(stack, P).tolist()
+
+
+def test_matmul_mod_reduces_every_max_terms(monkeypatch):
+    # 3 * MAX_TERMS products of (p-1)**2 at the largest prime overflow int64
+    # unless the sum is reduced between chunks
+    p, t = MAX_PRIME, 3 * modp.MAX_TERMS
+    x = np.full((2, 3, t), p - 1, dtype=np.int64)
+    y = np.full((t, 4), p - 1, dtype=np.int64)
+    assert (matmul_mod(x, y, p) == t * (p - 1) ** 2 % p).all()
+    # many small chunks: exact sums, and batched_rank with 7 shared pivots
+    monkeypatch.setattr(modp, "MAX_TERMS", 3)
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, P, size=(4, 5, 11))
+    y = rng.integers(0, P, size=(11, 6))
+    assert (matmul_mod(x, y, P) == x.astype(object) @ y.astype(object) % P).all()
+    stack = rng.integers(0, P, size=(6, 12, 10))
+    stack[:, 2:9] = rng.integers(0, P, size=(7, 10))
+    stack[:, 11] = stack[:, 0] + stack[:, 3]  # dependent on a shared row
+    _check_batched_rank(stack, P)
 
 
 @pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
