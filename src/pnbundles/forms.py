@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .modp import DEFAULT_PRIME, _pow_mod_array, check_prime, inv_mod
+from .modp import DEFAULT_PRIME, _pow_mod_array, _reduce, check_prime, inv_mod
 
 
 @lru_cache(maxsize=4096)
@@ -48,6 +48,39 @@ def monomial_basis(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=4096)
 def monomial_index(nvars: int, d: int) -> dict:
     return {m: i for i, m in enumerate(monomial_basis(nvars, d))}
+
+
+@lru_cache(maxsize=4096)
+def _monomial_steps(nvars: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-d monomial (d >= 1), in basis order: the index of
+    the degree-(d-1) monomial that it is x_i times, and that i, its first
+    variable."""
+    lower = monomial_index(nvars, d - 1)
+    index, var = [], []
+    for e in monomial_basis(nvars, d):
+        i = next(k for k, c in enumerate(e) if c)
+        index.append(lower[e[:i] + (e[i] - 1,) + e[i + 1:]])
+        var.append(i)
+    return np.array(index, dtype=np.intp), np.array(var, dtype=np.intp)
+
+
+def monomial_values(nvars: int, d: int, pts, p: int) -> np.ndarray:
+    """Values of the degree-d monomials at points, (npts, dim S_d) in
+    monomial_basis order; pts is an (npts, nvars) integer array.
+
+    The values are built degree by degree, each monomial from one of
+    degree one less by one modular product.
+    """
+    x = _reduce(np.asarray(pts, dtype=np.int64).T.copy(), p)  # nvars x npts
+    if d < 0:
+        return np.zeros((x.shape[1], 0), dtype=np.int64)
+    out = x if d else np.ones((1, x.shape[1]), dtype=np.int64)
+    for k in range(2, d + 1):
+        index, var = _monomial_steps(nvars, k)
+        out = out[index]
+        out *= x[var]
+        _reduce(out, p)
+    return out.T
 
 
 def space_dim(nvars: int, d: int) -> int:

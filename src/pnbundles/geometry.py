@@ -10,19 +10,20 @@ deterministically; positive global-generation verdicts are sampled
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from .binforms import binary_gcd_degree, poly_mul, valuations
-from .forms import (Form, monomial_basis, normalize_point, random_points,
+from .forms import (Form, monomial_values, normalize_point, random_points,
                     space_dim)
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
 from .modp import (DEFAULT_PRIME, batched_rank, check_prime, kernel_basis,
-                   matmul_mod, rank)
+                   matmul_mod, rank, relative_rank)
 from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
-                      ambient_twists, nvars_of, prime_of, rank_of)
+                      ambient_twists, chern_of_node, nvars_of, prime_of,
+                      rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "epi_certificate", "cayley_bacharach",
@@ -101,8 +102,7 @@ def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
 
 # -- splitting types -----------------------------------------------------------
 
-def splitting_type_on_line(node, line: LineParam,
-                           eng: Cohomology | None = None) -> list[int]:
+def splitting_type_on_line(node, line: LineParam) -> list[int]:
     """Splitting degrees of a kernel-type node restricted to a line.
 
     Computed from the section-dimension jumps of the restricted kernel
@@ -117,20 +117,19 @@ def splitting_type_on_line(node, line: LineParam,
     if isinstance(node, SumNode):
         out = []
         for q in node.parts:
-            out.extend(splitting_type_on_line(q, line, eng))
+            out.extend(splitting_type_on_line(q, line))
         return sorted(out, reverse=True)
     if not isinstance(node, KerNode):
         raise ValueError("splitting types are computed for kernel-type nodes")
 
     m_l = restrict_to_line(node.matrix, line)
     need = rank_of(node.target)
-    minors = _minors_of_size(m_l, need)
-    gdeg, ginf = binary_gcd(minors, p)
+    gdeg, ginf = binary_gcd(m_l.minors(need), p)
     if gdeg != 0 or ginf != 0:
         raise DegenerateRestriction(
             f"matrix drops below rank {need} along the line", (gdeg, ginf))
     r = rank_of(node)
-    c1 = sum(node.matrix.src) - _target_c1(node.target)
+    c1 = chern_of_node(node)[1]
     emax = max(node.matrix.src)
     emin = min(c1 - (r - 1) * emax, -emax) - 1
 
@@ -162,25 +161,6 @@ def splitting_type_on_line(node, line: LineParam,
     return out
 
 
-def _minors_of_size(m: GradedMatrix, size: int) -> list[Form]:
-    from itertools import combinations
-    out = []
-    for rows in combinations(range(m.nrows), size):
-        for cols in combinations(range(m.ncols), size):
-            out.append(m._det(rows, cols))
-    return out
-
-
-def _target_c1(target) -> int:
-    if isinstance(target, LineSum):
-        return sum(target.twists)
-    if isinstance(target, KerNode):
-        return sum(target.matrix.src) - _target_c1(target.target)
-    if isinstance(target, QuotNode):
-        return _target_c1(target.inner) - sum(target.matrix.src)
-    raise ValueError("unsupported target")
-
-
 # -- global generation ----------------------------------------------------------
 
 @dataclass
@@ -197,18 +177,6 @@ class GGVerdict:
         return self.generated
 
 
-def _monomial_values(nv: int, d: int, pts: np.ndarray, p: int) -> np.ndarray:
-    monos = monomial_basis(nv, d)
-    out = np.ones((pts.shape[0], len(monos)), dtype=np.int64)
-    for j, e in enumerate(monos):
-        col = np.ones(pts.shape[0], dtype=np.int64)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                col = col * pts[:, i] % p
-        out[:, j] = col
-    return out
-
-
 def _eval_sections(ambient, l, rows, pts, nv, p):
     """Section values at points: array (npoints, nsections, nsummands)."""
     npts, nsec = pts.shape[0], rows.shape[0]
@@ -220,29 +188,9 @@ def _eval_sections(ambient, l, rows, pts, nv, p):
         if d:
             vals = values.get(a)
             if vals is None:
-                vals = values[a] = _monomial_values(nv, a + l, pts, p)
+                vals = values[a] = monomial_values(nv, a + l, pts, p)
             out[:, :, j] = matmul_mod(vals, rows[:, off:off + d].T, p)
         off += d
-    return out
-
-
-def _eval_matrix_batch(m: GradedMatrix, pts: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise values at many points: array (npoints, nrows, ncols)."""
-    npts = pts.shape[0]
-    out = np.zeros((npts, m.nrows, m.ncols), dtype=np.int64)
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            f = m.entry(i, j)
-            if f.is_zero():
-                continue
-            col = np.zeros(npts, dtype=np.int64)
-            for e, c in f.terms:
-                term = np.full(npts, c, dtype=np.int64)
-                for k, ek in enumerate(e):
-                    for _ in range(ek):
-                        term = term * pts[:, k] % p
-                col = (col + term) % p
-            out[:, i, j] = col
     return out
 
 
@@ -254,8 +202,7 @@ def _fiber_quot_rows(node, pts, p) -> np.ndarray:
     if isinstance(node, (LineSum, KerNode)):
         return np.zeros((npts, 0, s), dtype=np.int64)
     if isinstance(node, QuotNode):
-        ev = _eval_matrix_batch(node.matrix, pts, p)  # npts x s x cols
-        return np.transpose(ev, (0, 2, 1))
+        return np.transpose(node.matrix.evaluate(pts), (0, 2, 1))
     if isinstance(node, SumNode):
         blocks = [_fiber_quot_rows(q, pts, p) for q in node.parts]
         widths = [len(ambient_twists(q)) for q in node.parts]
@@ -276,17 +223,15 @@ def _fiber_dims(node, pts, p) -> np.ndarray:
     if isinstance(node, LineSum):
         return np.full(npts, len(node.twists), dtype=np.int64)
     if isinstance(node, KerNode):
-        ev = _eval_matrix_batch(node.matrix, pts, p)
-        tgt = node.target
-        if isinstance(tgt, QuotNode):
-            sub = np.transpose(_eval_matrix_batch(tgt.matrix, pts, p), (0, 2, 1))
-            both = np.concatenate([np.transpose(ev, (0, 2, 1)), sub], axis=1)
-            rk = batched_rank(both, p) - batched_rank(sub, p)
+        ev = node.matrix.evaluate(pts)
+        if isinstance(node.target, QuotNode):
+            rk = relative_rank(np.transpose(ev, (0, 2, 1)),
+                               _fiber_quot_rows(node.target, pts, p), p)
         else:
             rk = batched_rank(ev, p)
         return len(node.matrix.src) - rk
     if isinstance(node, QuotNode):
-        sub = _eval_matrix_batch(node.matrix, pts, p)
+        sub = node.matrix.evaluate(pts)
         return _fiber_dims(node.inner, pts, p) - batched_rank(sub, p)
     if isinstance(node, SumNode):
         return sum(_fiber_dims(q, pts, p) for q in node.parts)
@@ -309,7 +254,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     r = rank_of(node)
 
     for line in hint_lines:
-        st = splitting_type_on_line(node, line, eng)
+        st = splitting_type_on_line(node, line)
         if st and min(st) < 0:
             return GGVerdict(False, "not-generated", trials, seed,
                              witness_line=line, witness_splitting=st)
@@ -327,12 +272,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
 
     amb = ambient_twists(node)
     vals = _eval_sections(amb, 0, secs.coefficient_rows, pts, nv, p)
-    quot = _fiber_quot_rows(node, pts, p)
-    if quot.shape[1]:
-        stacked = np.concatenate([vals, quot], axis=1)
-        spans = batched_rank(stacked, p) - batched_rank(quot, p)
-    else:
-        spans = batched_rank(vals, p)
+    spans = relative_rank(vals, _fiber_quot_rows(node, pts, p), p)
     bad = np.nonzero(spans != r)[0]
     if bad.size:
         x = tuple(int(c) for c in pts[bad[0]])
@@ -344,9 +284,8 @@ def reverify_witness(node, verdict: GGVerdict, eng: Cohomology | None = None) ->
     """Check that a negative witness still fails the span test."""
     if verdict.generated:
         return True
-    eng = eng or Cohomology(prime_of(node))
     if verdict.witness_line is not None:
-        st = splitting_type_on_line(node, verdict.witness_line, eng)
+        st = splitting_type_on_line(node, verdict.witness_line)
         return bool(st and min(st) < 0)
     if verdict.witness_point is not None:
         again = is_globally_generated(node, trials=0, seed=verdict.seed,
@@ -368,9 +307,9 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     nv = matrix.nvars
     g0 = matrix.graded_piece(0)
     rows = kernel_basis(g0, p)
-    pts = np.array(random_points(nv, trials, seed, p), dtype=np.int64)
-    ev = _eval_matrix_batch(matrix, pts, p)
-    dims = matrix.ncols - batched_rank(ev, p)
+    pts = np.array(random_points(nv, trials, seed, p),
+                   dtype=np.int64).reshape(-1, nv)
+    dims = matrix.ncols - batched_rank(matrix.evaluate(pts), p)
     bad = np.nonzero(dims != expected_rank)[0]
     if bad.size:
         return GGVerdict(False, "not-generated", trials, seed,
@@ -396,7 +335,7 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     arr = np.array(pts, dtype=np.int64)
-    ev = _monomial_values(3, d, arr, p)  # k x dim S_d
+    ev = monomial_values(3, d, arr, p)  # k x dim S_d
     # ev, then ev with row z zeroed for each z (same rank as deleting it)
     k = len(pts)
     stack = np.repeat(ev[None], k + 1, axis=0)
@@ -414,7 +353,7 @@ def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:
     """
     pts = [normalize_point(x, q) for x in points]
     arr = np.array(pts, dtype=np.int64)
-    ev = _monomial_values(3, d, arr, q)   # k x m
+    ev = monomial_values(3, d, arr, q)   # k x m
     m = ev.shape[1]
     coeffs = np.array(list(product(range(q), repeat=m)), dtype=np.int64)
     vals = coeffs @ ev.T % q              # q^m x k
@@ -446,7 +385,6 @@ def edge_avoidance(line: LineParam, z_points, p: int = DEFAULT_PRIME) -> bool:
         m = np.array([line.a, line.b, q], dtype=np.int64)
         if rank(m, p) != 3:
             raise ValueError("line passes through one of the points")
-    from itertools import combinations
     for i, j in combinations(range(4), 2):
         m = np.array([line.a, line.b, z[i], z[j]], dtype=np.int64)
         if rank(m, p) < 4:
@@ -478,7 +416,6 @@ def quadric_line_component_test(lam, p: int = DEFAULT_PRIME) -> bool:
     f0 = np.stack([m[0] for m in mats], axis=1)  # 4 x 3
     f1 = np.stack([m[1] for m in mats], axis=1)
     minors = []
-    from itertools import combinations
     for rows in combinations(range(4), 3):
         coeffs = np.zeros(4, dtype=np.int64)
         for perm, sign in _perms3():

@@ -17,8 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import Form, multiplication_matrix, parse_form, space_dim
-from .modp import DEFAULT_PRIME, check_prime
+from .forms import (Form, monomial_values, multiplication_matrix, parse_form,
+                    space_dim)
+from .modp import DEFAULT_PRIME, check_prime, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -133,26 +134,37 @@ class GradedMatrix:
             r0 += rd
         return mat
 
-    def evaluate(self, point) -> np.ndarray:
-        """Entrywise value at a point, in the standard trivialization."""
-        return np.array([[f.evaluate(point) for f in row] for row in self.entries],
-                        dtype=np.int64) % self.p
+    def evaluate(self, pts) -> np.ndarray:
+        """Entrywise values at points, in the standard trivialization:
+        an (npts, nvars) array of coordinates -> (npts, nrows, ncols)."""
+        pts = np.asarray(pts, dtype=np.int64)
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError("wrong number of coordinates")
+        out = np.zeros((pts.shape[0], self.nrows, self.ncols), dtype=np.int64)
+        by_degree: dict = {}
+        for i, row in enumerate(self.entries):
+            for j, f in enumerate(row):
+                if not f.is_zero():
+                    by_degree.setdefault(f.degree, []).append((i, j, f))
+        for d, fs in by_degree.items():
+            rows, cols, forms = zip(*fs)
+            coeffs = np.stack([f.coeff_vector() for f in forms], axis=1)
+            out[:, rows, cols] = matmul_mod(
+                monomial_values(self.nvars, d, pts, self.p), coeffs, self.p)
+        return out
 
     def maximal_minors(self) -> list[Form]:
-        """All t×t minors (t = min(nrows, ncols)) as forms."""
-        t = min(self.nrows, self.ncols)
-        if t == 0:
+        """All t×t minors, t = min(nrows, ncols)."""
+        return self.minors(min(self.nrows, self.ncols))
+
+    def minors(self, size: int) -> list[Form]:
+        """All size×size minors as forms, row subsets outermost, both in
+        lexicographic order."""
+        if size == 0:
             return []
-        minors = []
-        if self.nrows <= self.ncols:
-            rows = range(self.nrows)
-            for cols in combinations(range(self.ncols), t):
-                minors.append(self._det(tuple(rows), cols))
-        else:
-            cols = range(self.ncols)
-            for rows in combinations(range(self.nrows), t):
-                minors.append(self._det(rows, tuple(cols)))
-        return minors
+        return [self._det(rows, cols)
+                for rows in combinations(range(self.nrows), size)
+                for cols in combinations(range(self.ncols), size)]
 
     def _det(self, rows, cols) -> Form:
         # Laplace expansion; minors here are at most 4x4.

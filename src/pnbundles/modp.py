@@ -12,9 +12,11 @@ updates each row as piv * row - f * pivot_row with piv, f and the entries
 in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
 of products of residues is reduced every MAX_TERMS terms (`matmul_mod`),
 and MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Its callers are
-`geometry._eval_sections` and `batched_rank`, whose product clears the
-pivot columns of the rows shared by the whole stack from the other rows
-of every matrix (one term per shared pivot).
+`GradedMatrix.evaluate` (monomial values times coefficient vectors),
+`geometry._eval_sections` (monomial values times section coefficients)
+and `batched_rank`, whose product clears the pivot columns of the rows
+shared by the whole stack from the other rows of every matrix (one term
+per shared pivot).
 """
 
 from __future__ import annotations
@@ -306,6 +308,16 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     free[piv] = False
     acc = matmul_mod(rest[:, :, piv], r[:len(piv)][:, free], p)
     return len(piv) + _batched_rank(rest[:, :, free] - acc, p)
+
+
+def relative_rank(stack: np.ndarray, sub: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the rows of each stack[k] modulo the row span of sub[k],
+    rank([stack[k]; sub[k]]) - rank(sub[k]), for stacks (N, m, n) and
+    (N, k, n) -> (N,)."""
+    if sub.shape[1] == 0:
+        return batched_rank(stack, p)
+    both = np.concatenate([stack, sub], axis=1)
+    return batched_rank(both, p) - batched_rank(sub, p)
 
 
 def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:

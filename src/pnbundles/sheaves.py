@@ -22,8 +22,9 @@ from .chern import (ChernVector, dual_chern, line_sum_chern, whitney_div,
                     whitney_mul)
 from .forms import Form, random_points, space_dim
 from .graded import GradedMatrix, hn_matrix
-from .modp import (DEFAULT_PRIME, check_prime, extend_to_complement,
-                   kernel_basis, rank, zeros)
+from .modp import (DEFAULT_PRIME, batched_rank, check_prime,
+                   extend_to_complement, kernel_basis, rank, relative_rank,
+                   zeros)
 
 DEFAULT_CERT_SEED = 200001
 DEFAULT_CERT_SAMPLES = 24
@@ -348,11 +349,8 @@ def default_window(n: int) -> range:
 class Cohomology:
     """Cohomology engine with per-(node, twist) caching and certification."""
 
-    def __init__(self, p: int = DEFAULT_PRIME, cert_seed: int = DEFAULT_CERT_SEED,
-                 cert_samples: int = DEFAULT_CERT_SAMPLES):
+    def __init__(self, p: int = DEFAULT_PRIME):
         self.p = check_prime(p)
-        self.cert_seed = cert_seed
-        self.cert_samples = cert_samples
         self._values: dict = {}
         self._h0: dict = {}
         self._hn: dict = {}
@@ -376,11 +374,19 @@ class Cohomology:
             raise
         self._cert[node] = True
 
-    def _sample_points(self, nv: int):
-        pts = random_points(nv, self.cert_samples, self.cert_seed, self.p)
-        for i in range(nv):
-            pts.append(tuple(1 if j == i else 0 for j in range(nv)))
-        return pts
+    def _sample_points(self, nv: int) -> np.ndarray:
+        """The seeded samples, then the nv coordinate points."""
+        pts = random_points(nv, DEFAULT_CERT_SAMPLES, DEFAULT_CERT_SEED, self.p)
+        return np.concatenate([np.array(pts, dtype=np.int64).reshape(-1, nv),
+                               np.eye(nv, dtype=np.int64)])
+
+    @staticmethod
+    def _check_samples(ranks, want: int, pts, message: str) -> None:
+        """Raise `message` with the first sample point whose rank is not want."""
+        bad = np.flatnonzero(ranks != want)
+        if bad.size:
+            x = tuple(int(c) for c in pts[bad[0]])
+            raise CertificationError(f"{message} at sample point {x}")
 
     def _certify(self, node) -> None:
         from .idealtests import epi_certificate
@@ -407,24 +413,22 @@ class Cohomology:
                 inner = node.target.matrix
                 if not inner.compose(m).is_zero():
                     raise CertificationError("kernel map does not land in the target")
-                want = rank_of(node.target)
-                for x in self._sample_points(m.nvars):
-                    if rank(m.evaluate(x), self.p) != want:
-                        raise CertificationError(
-                            f"map is not onto the target at sample point {x}")
+                pts = self._sample_points(m.nvars)
+                self._check_samples(batched_rank(m.evaluate(pts), self.p),
+                                    rank_of(node.target), pts,
+                                    "map is not onto the target")
             else:  # quotient target: compare ranks modulo the subobject fibers
                 tgt = node.target
                 if isinstance(tgt.inner, KerNode):
                     if not tgt.inner.matrix.compose(m).is_zero():
                         raise CertificationError(
                             "kernel map does not land in the quotient's carrier")
-                want = rank_of(tgt)
-                for x in self._sample_points(m.nvars):
-                    sub = tgt.matrix.evaluate(x).T
-                    both = np.concatenate([m.evaluate(x).T, sub])
-                    if rank(both, self.p) - rank(sub, self.p) != want:
-                        raise CertificationError(
-                            f"map is not onto the quotient at sample point {x}")
+                pts = self._sample_points(m.nvars)
+                ranks = relative_rank(m.evaluate(pts).transpose(0, 2, 1),
+                                      tgt.matrix.evaluate(pts).transpose(0, 2, 1),
+                                      self.p)
+                self._check_samples(ranks, rank_of(tgt), pts,
+                                    "map is not onto the quotient")
             return
         if isinstance(node, QuotNode):
             self.certify(node.inner)
@@ -432,11 +436,9 @@ class Cohomology:
             if isinstance(node.inner, KerNode):
                 if not node.inner.matrix.compose(m).is_zero():
                     raise CertificationError("subobject map does not land in the node")
-            cols = len(m.src)
-            for x in self._sample_points(m.nvars):
-                if rank(m.evaluate(x), self.p) != cols:
-                    raise CertificationError(
-                        f"subobject map drops rank at sample point {x}")
+            pts = self._sample_points(m.nvars)
+            self._check_samples(batched_rank(m.evaluate(pts), self.p), len(m.src),
+                                pts, "subobject map drops rank")
             lmin = -max(m.src)
             for l in range(lmin, lmin + 5):
                 G = m.graded_piece(l)

@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pnbundles.forms import (Form, format_form, monomial_basis,
-                             multiplication_matrix, normalize_point,
-                             parse_form, random_points, space_dim)
+                             monomial_values, multiplication_matrix,
+                             normalize_point, parse_form, random_points,
+                             space_dim)
+from pnbundles.modp import MAX_PRIME
 
 P = 32003
 
@@ -22,6 +24,24 @@ def test_monomial_basis_order_is_fixed():
     assert monomial_basis(3, 2) == (
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
     assert monomial_basis(3, 2) is monomial_basis(3, 2)  # cached, identical
+
+
+@pytest.mark.parametrize("p", [5, 32003, MAX_PRIME])
+def test_monomial_values_match_monomials(p):
+    rng = np.random.default_rng(p % 1000)
+    for nvars in range(3, 7):
+        pts = rng.integers(0, p, size=(6, nvars))
+        pts[1:4] *= rng.integers(0, 2, size=(3, nvars))  # some coordinates zero
+        pts[4] = 0
+        pts[4, nvars - 1] = 1
+        pts[5] = rng.integers(-2**62, 2**62, size=nvars)  # outside [0, p)
+        for d in range(-1, 6):
+            got = monomial_values(nvars, d, pts, p)
+            assert got.shape == (len(pts), space_dim(nvars, d))
+            assert got.dtype == np.int64
+            for j, e in enumerate(monomial_basis(nvars, d)):
+                mono = Form.monomial(nvars, e, 1, p)
+                assert got[:, j].tolist() == [mono.evaluate(x) for x in pts]
 
 
 def test_space_dim():

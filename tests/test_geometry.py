@@ -196,11 +196,11 @@ def test_gg_engine_prime_follows_node():
 
 
 def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
-    from pnbundles import geometry
+    from pnbundles import forms, geometry
     from pnbundles.modp import MAX_TERMS
     ambient = (0, 1, 0, 2, 1, 0)
     nv, l = 4, 1
-    dims = [len(geometry.monomial_basis(nv, a + l)) for a in ambient]
+    dims = [forms.space_dim(nv, a + l) for a in ambient]
     rng = np.random.default_rng(11)
     rows = rng.integers(0, P, size=(5, sum(dims)))
     pts = np.array(random_points(nv, 30, 3, P), dtype=np.int64)
@@ -208,18 +208,19 @@ def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
     want = np.zeros((30, 5, len(ambient)), dtype=np.int64)
     off = 0
     for j, (a, d) in enumerate(zip(ambient, dims)):
-        vals = geometry._monomial_values(nv, a + l, pts, P)
+        vals = forms.monomial_values(nv, a + l, pts, P)
         want[:, :, j] = vals @ rows[:, off:off + d].T % P
         off += d
     assert max(dims) <= MAX_TERMS
     calls = []
-    monomial_values = geometry._monomial_values
+    monomial_values = forms.monomial_values
+    assert geometry.monomial_values is monomial_values
 
     def spy(nv, d, pts, p):
         calls.append(d)
         return monomial_values(nv, d, pts, p)
 
-    monkeypatch.setattr(geometry, "_monomial_values", spy)
+    monkeypatch.setattr(geometry, "monomial_values", spy)
     got = geometry._eval_sections(ambient, l, rows, pts, nv, P)
     assert sorted(calls) == [1, 2, 3]
     assert got.dtype == np.int64 and (got == want).all()

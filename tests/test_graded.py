@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pnbundles.forms import Form, random_points
+from pnbundles.forms import Form, monomial_basis, random_points
 from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix
 from pnbundles.idealtests import epi_certificate, ideal_piece_dim
-from pnbundles.modp import kernel_basis, rank
+from pnbundles.modp import MAX_PRIME, batched_rank, kernel_basis, rank
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -63,20 +63,67 @@ def test_evaluate_and_minor_locus():
     assert len(minors) == 6
     # rank drops exactly where all maximal minors vanish
     pts = random_points(4, 200, 11) + [(0, 0, 0, 1)]
-    for q in pts:
-        ev_rank = rank(m.evaluate(q), P)
+    for q, ev in zip(pts, m.evaluate(pts)):
+        ev_rank = rank(ev, P)
         vanish = all(f.evaluate(q) == 0 for f in minors)
         assert ev_rank <= 2
         assert (ev_rank < 2) == vanish
     # every entry involves only the first three coordinates, so the matrix
     # vanishes outright at the degeneracy point
-    assert rank(m.evaluate((0, 0, 0, 1)), P) == 0
-    assert rank(m.evaluate((1, 0, 0, 0)), P) == 2
+    assert list(batched_rank(m.evaluate([(0, 0, 0, 1), (1, 0, 0, 0)]), P)) == [0, 2]
 
 
 def test_zero_matrix_evaluate():
     z = GradedMatrix.make(4, (1,), (1,), [["0"]])
-    assert rank(z.evaluate((1, 2, 3, 4)), P) == 0
+    assert rank(z.evaluate([(1, 2, 3, 4)])[0], P) == 0
+
+
+def _random_points_with_zeros(rng, nvars, p):
+    pts = rng.integers(0, p, size=(12, nvars))
+    pts[3:9] *= rng.integers(0, 2, size=(6, nvars))  # some coordinates zero
+    pts[9] = np.eye(nvars, dtype=np.int64)[0]
+    pts[10, 1:] = 0
+    pts[11] = rng.integers(-2**62, 2**62, size=nvars)  # outside [0, p)
+    return pts
+
+
+@pytest.mark.parametrize("p", [5, 32003, MAX_PRIME])
+def test_evaluate_matches_form_evaluate(p):
+    rng = np.random.default_rng(p % 1000)
+    for nvars in range(3, 7):
+        for _ in range(3):
+            tgt = rng.integers(0, 3, size=int(rng.integers(1, 4)))
+            src = rng.integers(-2, 2, size=int(rng.integers(1, 4)))  # some degrees < 0
+            rows = []
+            for b in tgt:
+                row = []
+                for a in src:
+                    monos = monomial_basis(nvars, int(b - a))
+                    keep = rng.random(len(monos)) < rng.choice([0.0, 0.3, 1.0])
+                    row.append(Form.make(nvars, int(b - a), {
+                        e: int(c) for e, c, k in
+                        zip(monos, rng.integers(1, p, size=len(monos)), keep) if k}, p))
+                rows.append(row)
+            m = GradedMatrix.make(nvars, src, tgt, rows, p)
+            pts = _random_points_with_zeros(rng, nvars, p)
+            got = m.evaluate(pts)
+            assert got.shape == (len(pts), m.nrows, m.ncols) and got.dtype == np.int64
+            for x, ev in zip(pts, got):
+                assert ev.tolist() == [[f.evaluate(x) for f in row] for row in m.entries]
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        m.evaluate(pts[:, 1:])
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        m.evaluate(pts[0])
+
+
+def test_minors_of_maximal_size_are_maximal_minors():
+    wide = GradedMatrix.make(4, (0,) * 4, (1, 1),
+                             [[X[0], X[1], X[2], X[3]], [X[3], "0", X[0], X[2]]])
+    tall = wide.dual().twist(1)
+    for m in (wide, tall):
+        assert m.minors(2) == m.maximal_minors()
+        assert len(m.maximal_minors()) == 6
+    assert tall.maximal_minors() == wide.maximal_minors()
 
 
 def test_hn_matrix_shapes_and_functoriality():

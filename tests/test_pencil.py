@@ -2,7 +2,7 @@ import numpy as np
 
 from pnbundles.binforms import multiplicity_partition, rational_roots
 from pnbundles.forms import random_points
-from pnbundles.modp import rank
+from pnbundles.modp import batched_rank
 from pnbundles.pencil import (classify, conjugate, is_stable,
                               linear_matrix_2x4, min_syzygy_degree,
                               minor_ideal_equals, random_gl, to_pencil)
@@ -126,7 +126,7 @@ def test_rank_two_off_degeneracy_audit():
     # at sampled points the evaluation has rank 2 exactly off the minor locus
     m = linear_matrix_2x4(CANONICAL[7])
     minors = [f for f in m.maximal_minors() if not f.is_zero()]
-    for q in random_points(4, 200, 31):
-        ev = rank(m.evaluate(q), P)
+    pts = random_points(4, 200, 31)
+    for q, ev in zip(pts, batched_rank(m.evaluate(pts), P)):
         on_locus = all(f.evaluate(q) == 0 for f in minors)
         assert (ev < 2) == on_locus

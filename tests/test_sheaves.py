@@ -181,9 +181,40 @@ def test_uncertified_epi_rejected(eng):
 
 
 def test_non_mono_quotient_rejected(eng):
+    # (x0, x1, 0, 0) vanishes on x0 = x1 = 0; the 24 seeded samples miss
+    # that line, and (0, 0, 1, 0) is the first coordinate point on it
     col = GradedMatrix.column(4, -1, (0, 0, 0, 0), [X[0], X[1], "0", "0"])
     node = quot_node(col, LineSum.make(4, (0, 0, 0, 0)))
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError,
+                       match=r"drops rank at sample point \(0, 0, 1, 0\)$"):
+        eng.values(node, 0)
+
+
+def test_kernel_not_onto_kernel_target_rejected(eng):
+    # the Koszul columns x_j e_0 - x_0 e_j (j = 1, 2, 3) land in
+    # Omega(1) = ker(x0..x3) and span it exactly off x0 = 0, where
+    # (0, 1, 0, 0) is the first sample point
+    omega = ker_node(GradedMatrix.row(4, (0,) * 4, 1, X))
+    z = Form.zero(4, 1)
+    cols = [[X[j] if i == 0 else -X[0] if i == j else z for j in (1, 2, 3)]
+            for i in range(4)]
+    node = ker_node(GradedMatrix.make(4, (-1,) * 3, (0,) * 4, cols), omega)
+    with pytest.raises(CertificationError,
+                       match=r"not onto the target at sample point \(0, 1, 0, 0\)$"):
+        eng.values(node, 0)
+
+
+def test_kernel_not_onto_quotient_target_rejected(eng):
+    # e1, e2, e3 span O^4 modulo the Euler vector (x0..x3) exactly off
+    # x0 = 0, where (0, 1, 0, 0) is the first sample point
+    euler = GradedMatrix.column(4, -1, (0,) * 4, X)
+    tangent = quot_node(euler, LineSum.make(4, (0,) * 4))
+    units = [[1 if i == j else 0 for j in (1, 2, 3)] for i in range(4)]
+    node = ker_node(GradedMatrix.make(4, (0,) * 3, (0,) * 4,
+                                      [[str(c) for c in row] for row in units]),
+                    tangent)
+    with pytest.raises(CertificationError,
+                       match=r"not onto the quotient at sample point \(0, 1, 0, 0\)$"):
         eng.values(node, 0)
 
 
