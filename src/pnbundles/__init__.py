@@ -22,8 +22,8 @@ from .geometry import (GGVerdict, LineParam, cayley_bacharach,
                        splitting_type_on_line)
 from .graded import GradedMatrix, hn_matrix
 from .modp import DEFAULT_PRIME, kernel_basis, rank, rref, solve
-from .pencil import (BinaryPencil, PencilClass, classify, is_stable,
-                     linear_matrix_2x4, minor_ideal_equals, to_pencil)
+from .pencil import (PencilClass, classify, is_stable, linear_matrix_2x4,
+                     minor_ideal_equals, to_pencil)
 from .sheaves import (CohTable, Cohomology, DualNode, KerNode, LineSum,
                       QuotNode, SumNode, chern_of_node, ker_node, quot_node,
                       rank_of, sum_node, twist_node)

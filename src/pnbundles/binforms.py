@@ -37,14 +37,6 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a * inv_mod(int(a[-1]), p) % p
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, ai in enumerate(a):
-        if ai % p:
-            out[i:i + len(b)] = (out[i:i + len(b)] + ai * b) % p
-    return out
-
-
 def valuations(c: np.ndarray, p: int) -> tuple[int, int, np.ndarray]:
     """(val at (1:0), val at (0:1), stripped chart polynomial).
 
@@ -66,23 +58,9 @@ def binary_gcd_degree(forms: list[tuple[np.ndarray, int]], p: int) -> int:
     Input is a list of (coefficient vector, degree) pairs; zero vectors
     are ignored, and an all-zero family returns -1.
     """
-    entries = []
-    for c, d in forms:
-        c = np.mod(np.asarray(c, dtype=np.int64), p)
-        if len(c) != d + 1:
-            raise ValueError("coefficient vector does not match the degree")
-        if c.any():
-            entries.append(c)
-    if not entries:
-        return -1
-    v10 = v01 = None
-    chart = None
-    for c in entries:
-        a, b, core = valuations(c, p)
-        v10 = a if v10 is None else min(v10, a)
-        v01 = b if v01 is None else min(v01, b)
-        chart = core if chart is None else poly_gcd(chart, core, p)
-    return v10 + v01 + (len(chart) - 1)
+    if any(len(c) != d + 1 for c, d in forms):
+        raise ValueError("coefficient vector does not match the degree")
+    return len(_gcd_form(forms, p)) - 1
 
 
 def derivative_t0(c: np.ndarray, p: int) -> np.ndarray:
@@ -118,10 +96,8 @@ def multiplicity_partition(c: np.ndarray, p: int) -> list[int]:
             pieces.append((dt0, cur_deg - 1))
         if dt1.any():
             pieces.append((dt1, cur_deg - 1))
-        nxt_deg = binary_gcd_degree(pieces, p)
-        # realize the gcd form itself to iterate: recompute via chart data
         cur = _gcd_form(pieces, p)
-        cur_deg = nxt_deg
+        cur_deg = len(cur) - 1
         degs.append(cur_deg)
         if cur_deg == degs[-2]:
             raise ValueError("gcd iteration failed to descend")
@@ -136,6 +112,8 @@ def multiplicity_partition(c: np.ndarray, p: int) -> list[int]:
 
 
 def _gcd_form(forms: list[tuple[np.ndarray, int]], p: int) -> np.ndarray:
+    """Coefficient vector of the gcd of the nonzero forms; empty when
+    every form is zero."""
     v10 = v01 = None
     chart = None
     for c, d in forms:
@@ -146,9 +124,10 @@ def _gcd_form(forms: list[tuple[np.ndarray, int]], p: int) -> np.ndarray:
         v10 = a if v10 is None else min(v10, a)
         v01 = b if v01 is None else min(v01, b)
         chart = core if chart is None else poly_gcd(chart, core, p)
-    out = np.zeros(v10, dtype=np.int64)
-    out = np.concatenate([out, chart, np.zeros(v01, dtype=np.int64)])
-    return out
+    if chart is None:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate([np.zeros(v10, dtype=np.int64), chart,
+                           np.zeros(v01, dtype=np.int64)])
 
 
 def rational_roots(c: np.ndarray, p: int) -> list[tuple[int, int]] | None:

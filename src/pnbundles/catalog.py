@@ -14,11 +14,11 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .chern import p_chern, rr_chi, schwarzenberger_ok
+from .chern import gg_constraints, p_chern, rr_chi, schwarzenberger_ok
 from .geometry import (LineParam, gg_of_raw_kernel, is_globally_generated,
                        reverify_witness)
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME
+from .modp import DEFAULT_PRIME, rank
 from .pencil import classify, linear_matrix_2x4, minor_ideal_equals
 from .sheaves import (CertificationError, Cohomology, DualNode, LineSum,
                       chern_of_node, default_window, is_exact_cell, ker_node,
@@ -172,7 +172,6 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
                 (want_rank, want_c), (cv.rank, cv.c))
     if expected.get("gg", "").startswith("generated"):
         # generated nodes must clear the numerical necessary conditions
-        from .chern import gg_constraints
         bad = gg_constraints(cv, rank2_on_p3=(n == 3 and cv.rank == 2))
         rep.add("chern-inequalities", not bad, [], bad)
 
@@ -216,9 +215,8 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
             raw = entry["gg_construction"]
             m = parse_matrix(raw["matrix"], nvars, p)
             verdict = gg_of_raw_kernel(m, int(raw["rank"]), trials, seed, p)
-            from .modp import rank as _rank
             g0 = m.graded_piece(0)
-            got_h0 = g0.shape[1] - _rank(g0, p)
+            got_h0 = g0.shape[1] - rank(g0, p)
             want_h0 = table.h(0, 0)
             rep.add("h0-cross-model", is_exact_cell(want_h0) and got_h0 == want_h0,
                     want_h0, got_h0)
@@ -232,8 +230,7 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
             rep.add("global-generation", not verdict.generated,
                     "not-generated", verdict.tag)
             if not verdict.generated:
-                node_for_witness = node
-                ok = reverify_witness(node_for_witness, verdict, eng)
+                ok = reverify_witness(node, verdict, eng)
                 rep.add("witness-reverify", ok, "witness fails span test", ok)
         else:
             raise CatalogError(f"unknown gg expectation {gg!r}")

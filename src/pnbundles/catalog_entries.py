@@ -110,32 +110,12 @@ def _rank5_p4_pieces(p: int):
     if not u.compose(d4).is_zero():
         raise AssertionError("evaluation row is not a cochain")
 
-    # lift the evaluation row through d3 for the raw-kernel presentation
+    # lift the evaluation row through d3 for the raw-kernel presentation:
+    # phi_hat ∘ d3 = u, solved on degree-2 sections of the transposes
     c2t = d3.tgt
-    unknown_dims = [space_dim(5, 2 - t) for t in c2t]
-    offsets = np.cumsum([0] + unknown_dims)
-    rows, rhs = [], []
-    for j, sj in enumerate(d3.src):
-        deg = 2 - sj
-        basis = monomial_basis(5, deg)
-        bidx = {mm: i for i, mm in enumerate(basis)}
-        eq = np.zeros((len(basis), offsets[-1]), dtype=np.int64)
-        for k, tk in enumerate(c2t):
-            ent = d3.entry(k, j)
-            if ent.is_zero():
-                continue
-            pb = monomial_basis(5, 2 - tk)
-            for ci, pm in enumerate(pb):
-                for e, c in ent.terms:
-                    key = tuple(a + b for a, b in zip(pm, e))
-                    eq[bidx[key], offsets[k] + ci] = (
-                        eq[bidx[key], offsets[k] + ci] + c) % p
-        rows.append(eq)
-        v = np.zeros(len(basis), dtype=np.int64)
-        for e, c in u.entry(0, j).terms:
-            v[bidx[e]] = c
-        rhs.append(v)
-    sol = solve(np.concatenate(rows), np.concatenate(rhs), p)
+    offsets = np.cumsum([0] + [space_dim(5, 2 - t) for t in c2t])
+    rhs = np.concatenate([u.entry(0, j).coeff_vector() for j in range(u.ncols)])
+    sol = solve(d3.dual().graded_piece(2), rhs, p)
     if sol is None:
         raise AssertionError("no lift of the evaluation row to C_2(4)")
     phi_hat_entries = [
@@ -259,12 +239,7 @@ def _transform_of_tangent_twist(p: int) -> dict:
     from .sheaves import Cohomology
 
     t1_expr = {"twist": {"by": 2, "of": _tangent_minus_1(3)}}
-    node = parse_node(t1_expr, 3, p)
-    eng = Cohomology(p=p)
-    secs = eng.h0_basis(node, 0)
-    cols = secs.forms(p)
-    rows = [[cols[j][i] for j in range(secs.dim)] for i in range(3)]
-    m = GradedMatrix.make(3, (0,) * secs.dim, (2, 2, 2), rows, p)
+    m = Cohomology(p=p).p_transform(parse_node(t1_expr, 3, p)).matrix
     return {"dual": {"ker": {"matrix": _mat_json(m), "onto": t1_expr}}}
 
 

@@ -376,10 +376,7 @@ def main(argv=None) -> int:
     try:
         check_prime(args.prime)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -413,14 +413,7 @@ def ideal_member_lift(gens: GradedMatrix, f: Form) -> GradedMatrix:
     sol = solve(piece, f.coeff_vector(), gens.p)
     if sol is None:
         raise LiftNotFound(f"{f} is not in the ideal (degree {f.degree})")
-    cols = []
-    off = 0
-    for a in gens.src:
-        dim = space_dim(gens.nvars, a + l)
-        cols.append(Form.from_coeff_vector(gens.nvars, a + l,
-                                           sol[off:off + dim], gens.p))
-        off += dim
-    return GradedMatrix.column(gens.nvars, t - f.degree, gens.src, cols, gens.p)
+    return _column_from_solution(gens, l, sol, gens.p)
 
 
 def ferrand_liaison(res: FreeComplex, a_form: Form, b_form: Form) -> FreeComplex:

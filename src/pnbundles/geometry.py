@@ -10,11 +10,12 @@ deterministically; positive global-generation verdicts are sampled
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .binforms import binary_gcd_degree, poly_mul, valuations
+from .binforms import binary_gcd_degree, valuations
 from .forms import (Form, monomial_values, normalize_point, random_points,
                     space_dim)
 from .graded import GradedMatrix
@@ -76,15 +77,6 @@ def restrict_to_line(m: GradedMatrix, line: LineParam) -> GradedMatrix:
 
 # -- binary-form gcd tools ----------------------------------------------------
 
-def _binary_coeffs(f: Form) -> np.ndarray:
-    """Coefficients c_k of sum c_k u0^{d-k} u1^k for a binary form."""
-    d = f.degree
-    v = np.zeros(d + 1, dtype=np.int64)
-    for e, c in f.terms:
-        v[e[1]] = c
-    return v
-
-
 def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
     """(chart gcd degree, multiplicity of the common zero at (0:1)).
 
@@ -93,7 +85,7 @@ def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
     (0:1) when every form misses its top u1-power.  Both numbers are 0
     iff the family has empty common vanishing locus.
     """
-    coeffs = [(_binary_coeffs(f), f.degree) for f in forms if not f.is_zero()]
+    coeffs = [(f.coeff_vector(), f.degree) for f in forms if not f.is_zero()]
     if not coeffs:
         return -1, -1  # identically zero family
     inf_mult = min(valuations(c, p)[1] for c, _ in coeffs)
@@ -194,17 +186,18 @@ def _eval_sections(ambient, l, rows, pts, nv, p):
     return out
 
 
-def _fiber_quot_rows(node, pts, p) -> np.ndarray:
-    """Rows to quotient out of the ambient fiber, stacked per point."""
+def _fiber_quot_rows(node, pts, ev) -> np.ndarray:
+    """Rows to quotient out of the ambient fiber, stacked per point; ev
+    maps a matrix to its values at pts."""
     npts = pts.shape[0]
     amb = ambient_twists(node)
     s = len(amb)
     if isinstance(node, (LineSum, KerNode)):
         return np.zeros((npts, 0, s), dtype=np.int64)
     if isinstance(node, QuotNode):
-        return np.transpose(node.matrix.evaluate(pts), (0, 2, 1))
+        return np.transpose(ev(node.matrix), (0, 2, 1))
     if isinstance(node, SumNode):
-        blocks = [_fiber_quot_rows(q, pts, p) for q in node.parts]
+        blocks = [_fiber_quot_rows(q, pts, ev) for q in node.parts]
         widths = [len(ambient_twists(q)) for q in node.parts]
         total_q = sum(b.shape[1] for b in blocks)
         out = np.zeros((npts, total_q, s), dtype=np.int64)
@@ -217,24 +210,25 @@ def _fiber_quot_rows(node, pts, p) -> np.ndarray:
     raise ValueError("unsupported node for fiber evaluation")
 
 
-def _fiber_dims(node, pts, p) -> np.ndarray:
-    """Fiber dimensions at each point (detects degeneracy)."""
+def _fiber_dims(node, pts, ev, p) -> np.ndarray:
+    """Fiber dimensions at each point (detects degeneracy); ev as in
+    _fiber_quot_rows."""
     npts = pts.shape[0]
     if isinstance(node, LineSum):
         return np.full(npts, len(node.twists), dtype=np.int64)
     if isinstance(node, KerNode):
-        ev = node.matrix.evaluate(pts)
+        vals = ev(node.matrix)
         if isinstance(node.target, QuotNode):
-            rk = relative_rank(np.transpose(ev, (0, 2, 1)),
-                               _fiber_quot_rows(node.target, pts, p), p)
+            rk = relative_rank(np.transpose(vals, (0, 2, 1)),
+                               _fiber_quot_rows(node.target, pts, ev), p)
         else:
-            rk = batched_rank(ev, p)
+            rk = batched_rank(vals, p)
         return len(node.matrix.src) - rk
     if isinstance(node, QuotNode):
-        sub = node.matrix.evaluate(pts)
-        return _fiber_dims(node.inner, pts, p) - batched_rank(sub, p)
+        return (_fiber_dims(node.inner, pts, ev, p)
+                - batched_rank(ev(node.matrix), p))
     if isinstance(node, SumNode):
-        return sum(_fiber_dims(q, pts, p) for q in node.parts)
+        return sum(_fiber_dims(q, pts, ev, p) for q in node.parts)
     raise ValueError("unsupported node for fiber evaluation")
 
 
@@ -263,8 +257,9 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     hints = [normalize_point(q, p) for q in hint_points]
     pts = np.array(hints + random_points(nv, trials, seed, p),
                    dtype=np.int64).reshape(-1, nv)
+    ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
 
-    dims = _fiber_dims(node, pts, p)
+    dims = _fiber_dims(node, pts, ev, p)
     bad = np.nonzero(dims != r)[0]
     if bad.size:
         x = tuple(int(c) for c in pts[bad[0]])
@@ -272,7 +267,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
 
     amb = ambient_twists(node)
     vals = _eval_sections(amb, 0, secs.coefficient_rows, pts, nv, p)
-    spans = relative_rank(vals, _fiber_quot_rows(node, pts, p), p)
+    spans = relative_rank(vals, _fiber_quot_rows(node, pts, ev), p)
     bad = np.nonzero(spans != r)[0]
     if bad.size:
         x = tuple(int(c) for c in pts[bad[0]])
@@ -411,27 +406,10 @@ def quadric_line_component_test(lam, p: int = DEFAULT_PRIME) -> bool:
     if rank(stack, p) != 3:
         raise ValueError("the three elements must be independent")
     # 4x3 matrix over k[mu0, mu1]_1: row k, column e has entry
-    # mu1*F0_e[k] - mu0*F1_e[k]; coefficient vectors are indexed by
-    # mu0-degree (so [a, -b] stands for a*mu1 - b*mu0).
-    f0 = np.stack([m[0] for m in mats], axis=1)  # 4 x 3
-    f1 = np.stack([m[1] for m in mats], axis=1)
-    minors = []
-    for rows in combinations(range(4), 3):
-        coeffs = np.zeros(4, dtype=np.int64)
-        for perm, sign in _perms3():
-            prod_poly = None
-            for t in range(3):
-                a = int(f0[rows[t], perm[t]])
-                b = int(f1[rows[t], perm[t]])
-                cur = np.array([a % p, (-b) % p], dtype=np.int64)
-                prod_poly = cur if prod_poly is None else poly_mul(prod_poly, cur, p)
-            coeffs = (coeffs + sign * np.pad(prod_poly, (0, 4 - len(prod_poly)))) % p
-        minors.append(coeffs % p)
+    # mu1*F0_e[k] - mu0*F1_e[k]
+    rows = [[Form.make(2, 1, {(1, 0): -m[1, k], (0, 1): m[0, k]}, p)
+             for m in mats] for k in range(4)]
+    minors = GradedMatrix.make(2, (0,) * 3, (1,) * 4, rows, p).minors(3)
     # a bad mu is a common root of the minors (binary cubics in mu); all
     # minors zero (degree -1) means every mu gives a divisible element
-    return binary_gcd_degree([(m, 3) for m in minors], p) == 0
-
-
-def _perms3():
-    return [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+    return binary_gcd_degree([(f.coeff_vector(), 3) for f in minors], p) == 0

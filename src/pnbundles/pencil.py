@@ -15,16 +15,14 @@ quartic does not split over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
-from .binforms import (binary_gcd_degree, multiplicity_partition, poly_mul,
-                       rational_roots)
-from .forms import Form
+from .binforms import binary_gcd_degree, multiplicity_partition, rational_roots
+from .forms import Form, parse_form
 from .graded import GradedMatrix
 from .idealtests import ideal_pieces_equal
-from .modp import DEFAULT_PRIME, inv_mod, rank, zeros
+from .modp import DEFAULT_PRIME, inv_mod, kernel_basis, rank
 
 
 def linear_matrix_2x4(rows, p: int = DEFAULT_PRIME) -> GradedMatrix:
@@ -32,77 +30,21 @@ def linear_matrix_2x4(rows, p: int = DEFAULT_PRIME) -> GradedMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class BinaryPencil:
-    """4x4 pencil T0*P0 + T1*P1 attached to a 2x4 matrix of linear forms."""
-    p0: np.ndarray  # coefficient of T0 in each entry
-    p1: np.ndarray
-    p: int
+def to_pencil(m: GradedMatrix) -> GradedMatrix:
+    """Pencil matrix of the induced map on the dual line, on P^1.
 
-    def det(self) -> np.ndarray:
-        """Coefficient vector (length 5, by T1-degree) of the determinant."""
-        out = np.zeros(5, dtype=np.int64)
-        for perm in permutations(range(4)):
-            sign = _perm_sign(perm)
-            prod = np.array([1], dtype=np.int64)
-            for i, j in enumerate(perm):
-                lin = np.array([self.p0[i, j], self.p1[i, j]], dtype=np.int64)
-                prod = poly_mul(prod, lin, self.p)
-            out[: len(prod)] = (out[: len(prod)] + sign * prod) % self.p
-        return out % self.p
-
-    def minors3(self) -> list[np.ndarray]:
-        """All sixteen 3x3 minors as binary cubic coefficient vectors."""
-        out = []
-        for rows in combinations(range(4), 3):
-            for cols in combinations(range(4), 3):
-                acc = np.zeros(4, dtype=np.int64)
-                for perm in permutations(range(3)):
-                    sign = _perm_sign(perm)
-                    prod = np.array([1], dtype=np.int64)
-                    for a, b in enumerate(perm):
-                        i, j = rows[a], cols[b]
-                        lin = np.array([self.p0[i, j], self.p1[i, j]],
-                                       dtype=np.int64)
-                        prod = poly_mul(prod, lin, self.p)
-                    acc[: len(prod)] = (acc[: len(prod)] + sign * prod) % self.p
-                out.append(acc % self.p)
-        return out
-
-    def evaluate(self, t0: int, t1: int) -> np.ndarray:
-        return (self.p0 * t0 + self.p1 * t1) % self.p
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def to_pencil(m: GradedMatrix) -> BinaryPencil:
-    """Pencil matrix of the induced map on the dual line.
-
-    Entry (i, j) is the coefficient of x_i in T0*row0[j] + T1*row1[j].
+    Entry (i, j) is the linear form in (T0, T1) whose coefficients are the
+    x_i-coefficients of row0[j] and row1[j].
     """
-    p = m.p
-    p0 = zeros(4, 4)
-    p1 = zeros(4, 4)
-    for j in range(4):
-        for i in range(4):
-            expo = tuple(1 if k == i else 0 for k in range(4))
-            p0[i, j] = m.entry(0, j).coeff(expo)
-            p1[i, j] = m.entry(1, j).coeff(expo)
-    return BinaryPencil(p0, p1, p)
+    t0, t1 = ([m.entry(k, j).coeff_vector() for j in range(4)] for k in range(2))
+    rows = [[Form.make(2, 1, {(1, 0): t0[j][i], (0, 1): t1[j][i]}, m.p)
+             for j in range(4)] for i in range(4)]
+    return GradedMatrix.make(2, (0,) * 4, (1,) * 4, rows, m.p)
 
 
 def is_injective(m: GradedMatrix) -> bool:
     """The four columns are independent in k^2 ⊗ S_1."""
-    pen = to_pencil(m)
-    cols = np.concatenate([pen.p0, pen.p1]).T  # 4 columns x 8 coords
-    return rank(cols, m.p) == 4
+    return rank(m.graded_piece(0), m.p) == 4
 
 
 def is_stable(m: GradedMatrix) -> bool:
@@ -113,8 +55,7 @@ def is_stable(m: GradedMatrix) -> bool:
     """
     if not is_injective(m):
         return False
-    pen = to_pencil(m)
-    minors = [(c, 3) for c in pen.minors3()]
+    minors = [(f.coeff_vector(), 3) for f in to_pencil(m).minors(3)]
     return binary_gcd_degree(minors, m.p) == 0
 
 
@@ -163,25 +104,10 @@ _MINOR_IDEALS = {
 }
 
 
-def min_syzygy_degree(pen: BinaryPencil, max_degree: int = 3) -> int | None:
+def min_syzygy_degree(pen: GradedMatrix, max_degree: int = 3) -> int | None:
     """Minimal e with a nonzero column v of degree-e binary forms, pen·v = 0."""
-    p = pen.p
     for e in range(0, max_degree + 1):
-        # unknowns: 4 forms with e+1 coefficients each; equations: 4 forms
-        # of degree e+1
-        ncols = 4 * (e + 1)
-        rows = []
-        for i in range(4):
-            eq = np.zeros((e + 2, ncols), dtype=np.int64)
-            for j in range(4):
-                a0, a1 = int(pen.p0[i, j]), int(pen.p1[i, j])
-                for k in range(e + 1):
-                    # (a0*T0 + a1*T1) * T0^{e-k} T1^k
-                    eq[k, j * (e + 1) + k] = (eq[k, j * (e + 1) + k] + a0) % p
-                    eq[k + 1, j * (e + 1) + k] = (eq[k + 1, j * (e + 1) + k] + a1) % p
-            rows.append(eq)
-        big = np.concatenate(rows)
-        if rank(big, p) < ncols:
+        if rank(pen.graded_piece(e), pen.p) < 4 * (e + 1):
             return e
     return None
 
@@ -200,7 +126,7 @@ def classify(m: GradedMatrix) -> PencilClass:
     if not is_stable(m):
         return PencilClass("not-stable")
     pen = to_pencil(m)
-    det = pen.det()
+    det = pen.minors(4)[0].coeff_vector()
     if det.any():
         part = multiplicity_partition(det, p)
         case = _PARTITION_CASE[tuple(part)]
@@ -251,7 +177,6 @@ def _moebius_through(r1, r2, r3, p):
     for (x0, x1), (y0, y1) in zip([r1, r2, r3], targets):
         rows.append([(-x0 * y1) % p, (-x1 * y1) % p, (x0 * y0) % p, (x1 * y0) % p])
     kern = np.array(rows, dtype=np.int64)
-    from .modp import kernel_basis
     basis = kernel_basis(kern, p)
     if basis.shape[0] != 1:
         return None
@@ -276,7 +201,6 @@ def minor_ideal_equals(m: GradedMatrix, expected, degree_bound: int = 4) -> bool
     gens = []
     for g in expected:
         if isinstance(g, str):
-            from .forms import parse_form
             g = parse_form(g, 4, m.p)
         gens.append(g)
     return ideal_pieces_equal(minors, gens, degree_bound, m.p)

@@ -6,6 +6,7 @@ import pytest
 from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                parse_node, serialize_catalog, verify_all,
                                verify_entry)
+from pnbundles.catalog_entries import build_catalog
 from pnbundles.sheaves import Cohomology
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "catalog" / "catalog.json"
@@ -19,6 +20,11 @@ def catalog():
 def test_round_trip_byte_identical(catalog):
     text = CATALOG_PATH.read_text(encoding="utf-8")
     assert serialize_catalog(parse_catalog(text)) == text
+
+
+def test_shipped_catalog_matches_generator():
+    text = CATALOG_PATH.read_text(encoding="utf-8")
+    assert serialize_catalog(build_catalog()) == text
 
 
 def test_catalog_covers_required_constructions(catalog):

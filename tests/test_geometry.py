@@ -224,3 +224,42 @@ def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
     got = geometry._eval_sections(ambient, l, rows, pts, nv, P)
     assert sorted(calls) == [1, 2, 3]
     assert got.dtype == np.int64 and (got == want).all()
+
+
+
+def _catalog_node(eid):
+    from pathlib import Path
+
+    from pnbundles.catalog import load_catalog, parse_node
+    cat = load_catalog(Path(__file__).resolve().parents[1] / "catalog"
+                       / "catalog.json")
+    entry = next(e for e in cat["entries"] if e["id"] == eid)
+    return parse_node(entry["construction"], entry["n"] + 1, cat["prime"])
+
+
+def _two_quotients():
+    o3 = LineSum.make(3, (0, 0, 0))
+    col = [GradedMatrix.column(3, -1, (0, 0, 0), [Z[i], Z[j], Z[k]])
+           for i, j, k in ((0, 1, 2), (1, 0, 2))]
+    return sum_node(quot_node(col[0], o3), quot_node(col[1], o3))
+
+
+@pytest.mark.parametrize("node, calls", [
+    (lambda: _catalog_node("p2-c1-5-tangent-1"), 1),
+    # both summands are the quotient by the one Euler column
+    (lambda: _catalog_node("p2-c2-7-split-tangent-sq"), 1),
+    (_two_quotients, 2)])
+def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
+    # a quotient matrix serves both the fiber ranks and the span check
+    node = node()
+    eng.h0_basis(node, 0)
+    seen = []
+    evaluate = GradedMatrix.evaluate
+
+    def spy(self, pts):
+        seen.append(self)
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(GradedMatrix, "evaluate", spy)
+    assert is_globally_generated(node, 200, 7, eng=eng).generated
+    assert len(seen) == calls == len(set(seen))

@@ -1,7 +1,11 @@
-import numpy as np
+from itertools import combinations, permutations
 
-from pnbundles.binforms import multiplicity_partition, rational_roots
-from pnbundles.forms import random_points
+import numpy as np
+import pytest
+
+from pnbundles.binforms import (binary_gcd_degree, multiplicity_partition,
+                                rational_roots)
+from pnbundles.forms import Form, random_points
 from pnbundles.modp import batched_rank
 from pnbundles.pencil import (classify, conjugate, is_stable,
                               linear_matrix_2x4, min_syzygy_degree,
@@ -99,8 +103,78 @@ def test_stability_detection():
 
 def test_case5_determinant_is_fourfold_point():
     pen = to_pencil(linear_matrix_2x4(CANONICAL[5]))
-    det = pen.det()
+    det = pen.minors(4)[0].coeff_vector()
     assert det[0] != 0 and not det[1:].any()
+
+
+def _leibniz_minor(m, rows, cols, p):
+    """Reference minor of the pencil of a 2x4 linear matrix: entry (i, j)
+    is the binary form (x_i-coefficient of m[0][j]) T0 + (... of m[1][j])
+    T1; coefficient vector by T1-degree, by the permutation expansion."""
+    x = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        prod = np.array([sign % p], dtype=np.int64)
+        for r, c in zip(rows, (cols[k] for k in perm)):
+            lin = [m.entry(0, c).coeff(x[r]), m.entry(1, c).coeff(x[r])]
+            prod = np.convolve(prod, lin) % p
+        out = (out + prod) % p
+    return out
+
+
+def _random_linear_2x4(rng, p, zero_share):
+    rows = []
+    for _ in range(2):
+        coef = rng.integers(0, p, size=(4, 4))
+        coef[rng.random((4, 4)) < zero_share] = 0
+        rows.append([Form.make(4, 1, {tuple(int(k == i) for k in range(4)): c
+                                      for i, c in enumerate(col)}, p)
+                     for col in coef])
+    if rng.random() < 0.5:  # rank-deficient: one column repeats another
+        j, k = rng.choice(4, size=2, replace=False)
+        for row in rows:
+            row[k] = row[j].scale(int(rng.integers(0, p)))
+    return linear_matrix_2x4(rows, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 32003])
+def test_pencil_minors_match_leibniz(p):
+    rng = np.random.default_rng(p)
+    seen_zero_det = False
+    for t in range(40):
+        m = _random_linear_2x4(rng, p, zero_share=(0.0, 0.4, 0.7)[t % 3])
+        pen = to_pencil(m)
+        det = pen.minors(4)[0].coeff_vector()
+        assert (det == _leibniz_minor(m, range(4), range(4), p)).all()
+        seen_zero_det |= not det.any()
+        want = [_leibniz_minor(m, r, c, p)
+                for r in combinations(range(4), 3)
+                for c in combinations(range(4), 3)]
+        got = [f.coeff_vector() for f in pen.minors(3)]
+        assert len(got) == 16
+        assert all((g == w).all() for g, w in zip(got, want))
+    assert seen_zero_det
+
+
+def test_min_syzygy_degree():
+    for case, e in ((6, 3), (7, 2), (8, 1)):
+        assert min_syzygy_degree(to_pencil(linear_matrix_2x4(CANONICAL[case]))) == e
+    zero_col = linear_matrix_2x4([["x0", "x1", "x2", "0"], ["x1", "x2", "x3", "0"]])
+    assert min_syzygy_degree(to_pencil(zero_col)) == 0
+    # a nonzero determinant leaves no syzygy up to degree 3
+    assert min_syzygy_degree(to_pencil(linear_matrix_2x4(CANONICAL[1]))) is None
+
+
+def test_binary_gcd_degree_edge_cases():
+    with pytest.raises(ValueError):
+        binary_gcd_degree([(np.array([1, 2, 3]), 3)], P)
+    assert binary_gcd_degree([(np.zeros(3, dtype=np.int64), 2),
+                              (np.array([P, 0]), 1)], P) == -1
+    # T0*T1 and T1*(T0 + T1) share T1; zero forms are ignored
+    assert binary_gcd_degree([(np.array([0, 1, 0]), 2),
+                              (np.array([0, 1, 1]), 2),
+                              (np.zeros(4, dtype=np.int64), 3)], P) == 1
 
 
 def test_case1_canonical_emitted():
