@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
+from .catalog import parse_node, serialize_catalog
 from .complexes import koszul
-from .forms import Form, format_form, monomial_basis, space_dim
+from .forms import Form, format_form, monomial_basis
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME, solve
+from .modp import DEFAULT_PRIME, kernel_basis, solve
+from .sheaves import Cohomology
 
 
 def _mat_json(m: GradedMatrix) -> dict:
@@ -112,16 +112,11 @@ def _rank5_p4_pieces(p: int):
 
     # lift the evaluation row through d3 for the raw-kernel presentation:
     # phi_hat ∘ d3 = u, solved on degree-2 sections of the transposes
-    c2t = d3.tgt
-    offsets = np.cumsum([0] + [space_dim(5, 2 - t) for t in c2t])
-    rhs = np.concatenate([u.entry(0, j).coeff_vector() for j in range(u.ncols)])
-    sol = solve(d3.dual().graded_piece(2), rhs, p)
+    d3t = d3.dual()
+    sol = solve(d3t.graded_piece(2), u.dual().graded_piece(2)[:, 0], p)
     if sol is None:
         raise AssertionError("no lift of the evaluation row to C_2(4)")
-    phi_hat_entries = [
-        Form.from_coeff_vector(5, 2 - tk, sol[offsets[k]:offsets[k + 1]], p)
-        for k, tk in enumerate(c2t)]
-    phi_hat = GradedMatrix.row(5, c2t, 2, phi_hat_entries, p)
+    phi_hat = GradedMatrix.from_piece(5, d3t.src, 2, sol[None], p).dual()
 
     construction = {"dual": {"quot": {
         "matrix": _mat_json(u.dual()),
@@ -164,8 +159,6 @@ def _kernel_onto_cotangent(p: int) -> dict:
     them nondegenerate), three are fixed combinations of the canonical
     kernel basis in the next twist.
     """
-    from .modp import kernel_basis
-
     x = _x(4)
     euler2 = GradedMatrix.row(4, (2, 2, 2, 2), 3, x, p)
     w1 = [x[1], x[0].scale(-1), x[3], x[2].scale(-1)]
@@ -173,19 +166,8 @@ def _kernel_onto_cotangent(p: int) -> dict:
     w3 = [x[3], x[2], x[1].scale(-1), x[0].scale(-1)]
     kb = kernel_basis(euler2.graded_piece(0), p)
     picks = [kb[0] + 2 * kb[7], kb[3] + 5 * kb[11], kb[5] + 7 * kb[16] + 3 * kb[19]]
-
-    def section(vec):
-        vec = np.mod(vec, p)
-        out = []
-        off = 0
-        for a in (2, 2, 2, 2):
-            d = space_dim(4, a)
-            out.append(Form.from_coeff_vector(4, a, vec[off:off + d], p))
-            off += d
-        return out
-
-    cols = [w1, w2, w3] + [section(v) for v in picks]
-    rows = [[cols[j][i] for j in range(6)] for i in range(4)]
+    secs = GradedMatrix.from_piece(4, (2, 2, 2, 2), 0, picks, p)
+    rows = [[w1[i], w2[i], w3[i], *secs.entries[i]] for i in range(4)]
     phi = GradedMatrix.make(4, (1, 1, 1, 0, 0, 0), (2, 2, 2, 2), rows, p)
     return {"twist": {"by": 2, "of": {
         "ker": {"matrix": _mat_json(phi),
@@ -235,9 +217,6 @@ def _transform_of_tangent_twist(p: int) -> dict:
     The section matrix of T(1) is generated through the engine so the
     coset-representative choice matches verification exactly.
     """
-    from .catalog import parse_node
-    from .sheaves import Cohomology
-
     t1_expr = {"twist": {"by": 2, "of": _tangent_minus_1(3)}}
     m = Cohomology(p=p).p_transform(parse_node(t1_expr, 3, p)).matrix
     return {"dual": {"ker": {"matrix": _mat_json(m), "onto": t1_expr}}}
@@ -472,7 +451,6 @@ def build_catalog(p: int = DEFAULT_PRIME) -> dict:
 
 
 def write_catalog(path, p: int = DEFAULT_PRIME) -> None:
-    from .catalog import serialize_catalog
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_catalog(build_catalog(p)))
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .forms import Form, space_dim
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME, rank, solve
+from .modp import DEFAULT_PRIME, inv_mod, rank, solve
 
 
 @dataclass(frozen=True)
@@ -334,8 +332,6 @@ def _find_unit(cx: FreeComplex):
 
 
 def _cancel(cx: FreeComplex, k: int, i: int, j: int) -> FreeComplex:
-    from .modp import inv_mod
-
     p, nv = cx.p, cx.nvars
     d = cx.diff(k)
     u = d.entry(i, j).coeff(tuple(0 for _ in range(nv)))
@@ -413,7 +409,7 @@ def ideal_member_lift(gens: GradedMatrix, f: Form) -> GradedMatrix:
     sol = solve(piece, f.coeff_vector(), gens.p)
     if sol is None:
         raise LiftNotFound(f"{f} is not in the ideal (degree {f.degree})")
-    return _column_from_solution(gens, l, sol, gens.p)
+    return GradedMatrix.from_piece(gens.nvars, gens.src, l, sol[None], gens.p)
 
 
 def ferrand_liaison(res: FreeComplex, a_form: Form, b_form: Form) -> FreeComplex:
@@ -446,10 +442,10 @@ def ferrand_liaison(res: FreeComplex, a_form: Form, b_form: Form) -> FreeComplex
     target = GradedMatrix.column(nv, t - a_form.degree - b_form.degree,
                                  syz.tgt, diff_col, p)
     l = a_form.degree + b_form.degree - t
-    sol = solve(syz.graded_piece(l), _column_piece(target, l), p)
+    sol = solve(syz.graded_piece(l), target.graded_piece(l)[:, 0], p)
     if sol is None:
         raise LiftNotFound("Koszul relation does not lift through the syzygies")
-    w = _column_from_solution(syz, l, sol, p)
+    w = GradedMatrix.from_piece(nv, syz.src, l, sol[None], p)
 
     d2 = syz.dual().stack(x_a.dual()).stack(x_b.dual())
     u_row = [f.scale(-1) for f in (w.entry(r, 0) for r in range(w.nrows))]
@@ -458,30 +454,6 @@ def ferrand_liaison(res: FreeComplex, a_form: Form, b_form: Form) -> FreeComplex
     if not d1.compose(d2).is_zero():
         raise AssertionError("liaison output is not a complex")
     return FreeComplex.make(nv, 0, (d1.tgt, d1.src, d2.src), (d1, d2), p)
-
-
-def _column_piece(col: GradedMatrix, l: int) -> np.ndarray:
-    """Coefficient vector of a one-column matrix in the degree-l strand."""
-    out = []
-    for r in range(col.nrows):
-        f = col.entry(r, 0)
-        dim = space_dim(col.nvars, col.tgt[r] + l)
-        if f.is_zero():
-            out.append(np.zeros(dim, dtype=np.int64))
-        else:
-            out.append(f.coeff_vector())
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-
-
-def _column_from_solution(mat: GradedMatrix, l: int, sol: np.ndarray,
-                          p: int) -> GradedMatrix:
-    cols = []
-    off = 0
-    for a in mat.src:
-        dim = space_dim(mat.nvars, a + l)
-        cols.append(Form.from_coeff_vector(mat.nvars, a + l, sol[off:off + dim], p))
-        off += dim
-    return GradedMatrix.column(mat.nvars, -l, mat.src, cols, p)
 
 
 def scheme_degree_from_resolution(res: FreeComplex) -> int:

@@ -230,7 +230,7 @@ class Form:
                           p: int = DEFAULT_PRIME) -> "Form":
         basis = monomial_basis(nvars, degree)
         return Form.make(nvars, degree,
-                         {m: int(c) for m, c in zip(basis, vec)}, p)
+                         {m: c for m, c in zip(basis, vec) if c}, p)
 
     def __str__(self) -> str:
         return format_form(self)
@@ -363,20 +363,25 @@ def parse_form(text: str, nvars: int, p: int = DEFAULT_PRIME,
 
 
 def format_form(f: Form) -> str:
+    """Terms in the fixed order, coefficients c > p//2 printed as -(p-c)."""
     if f.is_zero():
         return "0"
-    parts = []
+    out = ""
     for e, c in f.terms:
-        factors = []
-        if c != 1 or not any(e):
-            factors.append(str(c))
+        neg = c > f.p // 2
+        c = f.p - c if neg else c
+        factors = [str(c)] if c != 1 or not any(e) else []
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(f"x{i}")
             elif k > 1:
                 factors.append(f"x{i}^{k}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+        term = "*".join(factors)
+        if out:
+            out += (" - " if neg else " + ") + term
+        else:
+            out = "-" + term if neg else term
+    return out
 
 
 # -- projective points -------------------------------------------------------

@@ -16,12 +16,11 @@ from itertools import combinations, product
 import numpy as np
 
 from .binforms import binary_gcd_degree, valuations
-from .forms import (Form, monomial_values, normalize_point, random_points,
-                    space_dim)
+from .forms import Form, monomial_values, normalize_point, random_points
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
 from .modp import (DEFAULT_PRIME, batched_rank, check_prime, kernel_basis,
-                   matmul_mod, rank, relative_rank)
+                   rank, relative_rank)
 from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
                       ambient_twists, chern_of_node, nvars_of, prime_of,
                       rank_of)
@@ -169,23 +168,6 @@ class GGVerdict:
         return self.generated
 
 
-def _eval_sections(ambient, l, rows, pts, nv, p):
-    """Section values at points: array (npoints, nsections, nsummands)."""
-    npts, nsec = pts.shape[0], rows.shape[0]
-    out = np.zeros((npts, nsec, len(ambient)), dtype=np.int64)
-    values = {}  # per twist: npts x d monomial values
-    off = 0
-    for j, a in enumerate(ambient):
-        d = space_dim(nv, a + l)
-        if d:
-            vals = values.get(a)
-            if vals is None:
-                vals = values[a] = monomial_values(nv, a + l, pts, p)
-            out[:, :, j] = matmul_mod(vals, rows[:, off:off + d].T, p)
-        off += d
-    return out
-
-
 def _fiber_quot_rows(node, pts, ev) -> np.ndarray:
     """Rows to quotient out of the ambient fiber, stacked per point; ev
     maps a matrix to its values at pts."""
@@ -265,8 +247,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
         x = tuple(int(c) for c in pts[bad[0]])
         return GGVerdict(False, "not-generated", trials, seed, witness_point=x)
 
-    amb = ambient_twists(node)
-    vals = _eval_sections(amb, 0, secs.coefficient_rows, pts, nv, p)
+    vals = np.transpose(ev(secs), (0, 2, 1))
     spans = relative_rank(vals, _fiber_quot_rows(node, pts, ev), p)
     bad = np.nonzero(spans != r)[0]
     if bad.size:
@@ -300,8 +281,6 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     expected_rank at every sample (degenerate points are failures).
     """
     nv = matrix.nvars
-    g0 = matrix.graded_piece(0)
-    rows = kernel_basis(g0, p)
     pts = np.array(random_points(nv, trials, seed, p),
                    dtype=np.int64).reshape(-1, nv)
     dims = matrix.ncols - batched_rank(matrix.evaluate(pts), p)
@@ -309,8 +288,9 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     if bad.size:
         return GGVerdict(False, "not-generated", trials, seed,
                          witness_point=tuple(int(c) for c in pts[bad[0]]))
-    vals = _eval_sections(matrix.src, 0, rows, pts, nv, p)
-    spans = batched_rank(vals, p)
+    secs = GradedMatrix.from_piece(nv, matrix.src, 0,
+                                   kernel_basis(matrix.graded_piece(0), p), p)
+    spans = batched_rank(np.transpose(secs.evaluate(pts), (0, 2, 1)), p)
     bad = np.nonzero(spans != expected_rank)[0]
     if bad.size:
         return GGVerdict(False, "not-generated", trials, seed,

@@ -65,6 +65,18 @@ class GradedMatrix:
         """Single-column matrix O(src0) → ⊕O(tgt[i])."""
         return GradedMatrix.make(nvars, (src0,), tgt, [[f] for f in forms], p)
 
+    @staticmethod
+    def from_piece(nvars: int, tgt, l: int, rows, p: int = DEFAULT_PRIME) -> "GradedMatrix":
+        """The map O(-l)^k → ⊕O(tgt) whose degree-l piece has the k rows,
+        coefficient vectors over ⊕S_{tgt[i]+l}, as its columns; the
+        inverse of graded_piece(l)."""
+        dims = [space_dim(nvars, b + l) for b in tgt]
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), sum(dims)).tolist()
+        offs = np.cumsum([0] + dims)
+        entries = [[Form.from_coeff_vector(nvars, b + l, r[offs[i]:offs[i + 1]], p)
+                    for r in rows] for i, b in enumerate(tgt)]
+        return GradedMatrix.make(nvars, (-l,) * len(rows), tgt, entries, p)
+
     @property
     def nrows(self) -> int:
         return len(self.tgt)

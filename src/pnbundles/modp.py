@@ -12,11 +12,10 @@ updates each row as piv * row - f * pivot_row with piv, f and the entries
 in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
 of products of residues is reduced every MAX_TERMS terms (`matmul_mod`),
 and MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Its callers are
-`GradedMatrix.evaluate` (monomial values times coefficient vectors),
-`geometry._eval_sections` (monomial values times section coefficients)
-and `batched_rank`, whose product clears the pivot columns of the rows
-shared by the whole stack from the other rows of every matrix (one term
-per shared pivot).
+`GradedMatrix.evaluate` (monomial values times coefficient vectors,
+section matrices included) and `batched_rank`, whose product clears the
+pivot columns of the rows shared by the whole stack from the other rows
+of every matrix (one term per shared pivot).
 """
 
 from __future__ import annotations

@@ -53,10 +53,12 @@ def is_stable(m: GradedMatrix) -> bool:
     Equivalently the 3x3 minors of the pencil have no common zero on the
     line, checked exactly through a binary-form gcd.
     """
-    if not is_injective(m):
-        return False
-    minors = [(f.coeff_vector(), 3) for f in to_pencil(m).minors(3)]
-    return binary_gcd_degree(minors, m.p) == 0
+    return is_injective(m) and _minors3_coprime(to_pencil(m))
+
+
+def _minors3_coprime(pen: GradedMatrix) -> bool:
+    minors = [(f.coeff_vector(), 3) for f in pen.minors(3)]
+    return binary_gcd_degree(minors, pen.p) == 0
 
 
 @dataclass
@@ -123,9 +125,9 @@ def classify(m: GradedMatrix) -> PencilClass:
     p = m.p
     if not is_injective(m):
         return PencilClass("not-injective")
-    if not is_stable(m):
-        return PencilClass("not-stable")
     pen = to_pencil(m)
+    if not _minors3_coprime(pen):
+        return PencilClass("not-stable")
     det = pen.minors(4)[0].coeff_vector()
     if det.any():
         part = multiplicity_partition(det, p)

@@ -20,8 +20,9 @@ import numpy as np
 
 from .chern import (ChernVector, dual_chern, line_sum_chern, whitney_div,
                     whitney_mul)
-from .forms import Form, random_points, space_dim
+from .forms import random_points, space_dim
 from .graded import GradedMatrix, hn_matrix
+from .idealtests import epi_certificate
 from .modp import (DEFAULT_PRIME, batched_rank, check_prime,
                    extend_to_complement, kernel_basis, rank, relative_rank,
                    zeros)
@@ -316,32 +317,6 @@ class CohTable:
         return "\n".join(lines)
 
 
-@dataclass
-class SectionModel:
-    """Explicit basis of H^0(E(l)) as vectors of forms in the ambient sum."""
-    node: object
-    l: int
-    ambient: tuple
-    coefficient_rows: np.ndarray  # dim x sum(h^0(O(a_j + l)))
-
-    @property
-    def dim(self) -> int:
-        return self.coefficient_rows.shape[0]
-
-    def forms(self, p: int) -> list[list[Form]]:
-        nv = nvars_of(self.node)
-        out = []
-        for row in self.coefficient_rows:
-            vec = []
-            off = 0
-            for a in self.ambient:
-                d = space_dim(nv, a + self.l)
-                vec.append(Form.from_coeff_vector(nv, a + self.l, row[off:off + d], p))
-                off += d
-            out.append(vec)
-        return out
-
-
 def default_window(n: int) -> range:
     return range(-n - 3, 5)
 
@@ -389,8 +364,6 @@ class Cohomology:
             raise CertificationError(f"{message} at sample point {x}")
 
     def _certify(self, node) -> None:
-        from .idealtests import epi_certificate
-
         if isinstance(node, LineSum):
             return
         if isinstance(node, SumNode):
@@ -672,14 +645,14 @@ class Cohomology:
                 cells[(i, l)] = vals[i]
         return CohTable(n, min(window), max(window), cells)
 
-    def h0_basis(self, node, l: int) -> SectionModel:
-        """Explicit section basis; for quotients these are coset reps."""
+    def h0_basis(self, node, l: int) -> GradedMatrix:
+        """Explicit section basis, one column per section, as the map
+        O(-l)^h0 → ⊕O(ambient); for quotients these are coset reps."""
         ps = self.h0_presented(node, l)
-        amb = ambient_twists(node)
-        rows = ps.space_rows()
         if ps.quot is not None and ps.quot.size and isinstance(node, (KerNode, LineSum, SumNode)):
             raise AssertionError("unexpected quotient in a subspace model")
-        return SectionModel(node, l, amb, np.mod(rows, self.p))
+        return GradedMatrix.from_piece(nvars_of(node), ambient_twists(node), l,
+                                       ps.space_rows(), self.p)
 
     def p_transform(self, node) -> KerNode:
         """Kernel-of-evaluation node whose dual is the transform of `node`.
@@ -688,13 +661,7 @@ class Cohomology:
         the returned node is Ker(H^0 ⊗ O -> node) with the section basis
         as its matrix.
         """
-        secs = self.h0_basis(node, 0)
-        nv = nvars_of(node)
-        amb = ambient_twists(node)
-        cols = secs.forms(self.p)
-        rows = [[cols[j][i] for j in range(secs.dim)] for i in range(len(amb))]
-        m = GradedMatrix.make(nv, (0,) * secs.dim, amb, rows, self.p)
-        return ker_node(m, node)
+        return ker_node(self.h0_basis(node, 0), node)
 
 
 def serre_flip(table: CohTable) -> CohTable:

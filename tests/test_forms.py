@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,6 +56,20 @@ def test_parse_and_format_roundtrip():
     g = parse_form(format_form(f), 4)
     assert f == g
     assert f.degree == 3
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, MAX_PRIME])
+def test_format_prints_symmetric_residues(p):
+    half = p // 2
+    for c in (1, 2, half, half + 1, p - 2, p - 1):
+        f = Form.make(3, 2, {(2, 0, 0): c, (1, 1, 0): p - c, (0, 0, 2): 3}, p)
+        text = format_form(f)
+        assert parse_form(text, 3, p) == f
+        # no printed coefficient exceeds p // 2
+        assert all(int(t) <= half for t in re.findall(r"(?<![x^\d])\d+", text))
+    assert format_form(Form.make(3, 1, {(1, 0, 0): p - 1, (0, 0, 1): p - 2}, p)) \
+        == "-2*x2 - x0"
+    assert format_form(Form.constant(2, half + 1, p)) == f"-{half}"
 
 
 def test_parse_rejects_inhomogeneous():

@@ -196,7 +196,7 @@ def test_gg_engine_prime_follows_node():
 
 
 def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
-    from pnbundles import forms, geometry
+    from pnbundles import forms, graded
     from pnbundles.modp import MAX_TERMS
     ambient = (0, 1, 0, 2, 1, 0)
     nv, l = 4, 1
@@ -214,14 +214,15 @@ def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
     assert max(dims) <= MAX_TERMS
     calls = []
     monomial_values = forms.monomial_values
-    assert geometry.monomial_values is monomial_values
+    assert graded.monomial_values is monomial_values
 
     def spy(nv, d, pts, p):
         calls.append(d)
         return monomial_values(nv, d, pts, p)
 
-    monkeypatch.setattr(geometry, "monomial_values", spy)
-    got = geometry._eval_sections(ambient, l, rows, pts, nv, P)
+    monkeypatch.setattr(graded, "monomial_values", spy)
+    secs = GradedMatrix.from_piece(nv, ambient, l, rows, P)
+    got = np.transpose(secs.evaluate(pts), (0, 2, 1))
     assert sorted(calls) == [1, 2, 3]
     assert got.dtype == np.int64 and (got == want).all()
 
@@ -250,7 +251,8 @@ def _two_quotients():
     (lambda: _catalog_node("p2-c2-7-split-tangent-sq"), 1),
     (_two_quotients, 2)])
 def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
-    # a quotient matrix serves both the fiber ranks and the span check
+    # a quotient matrix serves both the fiber ranks and the span check;
+    # `calls` counts the node's matrices, the section matrix adds one
     node = node()
     eng.h0_basis(node, 0)
     seen = []
@@ -262,4 +264,4 @@ def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
 
     monkeypatch.setattr(GradedMatrix, "evaluate", spy)
     assert is_globally_generated(node, 200, 7, eng=eng).generated
-    assert len(seen) == calls == len(set(seen))
+    assert len(seen) == calls + 1 == len(set(seen))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,26 @@ def test_evaluate_matches_form_evaluate(p):
         m.evaluate(pts[:, 1:])
     with pytest.raises(ValueError, match="wrong number of coordinates"):
         m.evaluate(pts[0])
+
+
+@pytest.mark.parametrize("p", [5, 32003, MAX_PRIME])
+def test_from_piece_inverts_graded_piece(p):
+    rng = np.random.default_rng(p % 997)
+    for nvars in range(2, 7):
+        for l in range(-1, 3):
+            random_tgt = tuple(int(b) for b in rng.integers(-2, 4, size=int(rng.integers(1, 4))))
+            for k, tgt in product((0, 1, 3), ((-2, -2), random_tgt)):  # (-2, -2): empty for l < 2
+                total = sum(len(monomial_basis(nvars, b + l)) for b in tgt)
+                rows = rng.integers(-3 * p, 3 * p, size=(k, total))  # >= p and < 0
+                if rows.size:
+                    rows.flat[0] = -2**62
+                m = GradedMatrix.from_piece(nvars, tgt, l, rows, p)
+                assert (m.src, m.tgt, m.nvars, m.p) == ((-l,) * k, tgt, nvars, p)
+                piece = m.graded_piece(l)
+                assert piece.shape == (total, k)
+                assert (piece.T == rows % p).all()
+                # and back: a matrix is rebuilt from its degree-l piece
+                assert GradedMatrix.from_piece(nvars, tgt, l, piece.T, p) == m
 
 
 def test_minors_of_maximal_size_are_maximal_minors():

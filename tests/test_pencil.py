@@ -101,6 +101,28 @@ def test_stability_detection():
     assert classify(dep).tag == "not-injective"
 
 
+def test_classify_builds_the_pencil_once(monkeypatch):
+    from pnbundles import pencil
+    from pnbundles.graded import GradedMatrix
+    m = linear_matrix_2x4(CANONICAL[7])
+    built, pieces = [], []
+    to_pencil_, graded_piece = pencil.to_pencil, GradedMatrix.graded_piece
+
+    def spy_pencil(m):
+        built.append(m)
+        return to_pencil_(m)
+
+    def spy_piece(self, l):
+        pieces.append(l)
+        return graded_piece(self, l)
+
+    monkeypatch.setattr(pencil, "to_pencil", spy_pencil)
+    monkeypatch.setattr(GradedMatrix, "graded_piece", spy_piece)
+    assert classify(m).case == 7
+    # one injectivity piece of m, then syzygy degrees 0, 1, 2 of the pencil
+    assert len(built) == 1 and pieces == [0, 0, 1, 2]
+
+
 def test_case5_determinant_is_fourfold_point():
     pen = to_pencil(linear_matrix_2x4(CANONICAL[5]))
     det = pen.minors(4)[0].coeff_vector()

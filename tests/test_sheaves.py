@@ -129,21 +129,22 @@ def test_monotone_vanishing_property(eng):
 
 def test_h0_basis_line_sum_and_empty_twist(eng):
     sm = eng.h0_basis(LineSum.make(4, (1, 1, 1, 1)), 0)
-    assert sm.dim == 16  # coordinate sections of four twisted summands
-    assert eng.h0_basis(mixed_kernel(), -2).dim == 0
+    assert sm.ncols == 16  # coordinate sections of four twisted summands
+    assert eng.h0_basis(mixed_kernel(), -2).ncols == 0
+
+
+def test_h0_basis_empty_ambient_piece(eng):
+    # every a_j + l < 0: no monomials, no sections, a matrix with 0 columns
+    sm = eng.h0_basis(LineSum.make(4, (1, 1)), -5)
+    assert (sm.ncols, sm.tgt, sm.src) == (0, (1, 1), ())
 
 
 def test_h0_basis_vectors_are_sections(eng):
     e = mixed_kernel()
     sm = eng.h0_basis(e, 0)
-    assert sm.dim == 14
-    m = e.matrix
-    for vec in sm.forms(P):
-        # the defining row applied to each section vector vanishes
-        acc = Form.zero(4, 3, P)
-        for j in range(4):
-            acc = acc + m.entry(0, j) * vec[j]
-        assert acc.is_zero()
+    assert sm.ncols == 14
+    # the defining row applied to each section column vanishes
+    assert e.matrix.compose(sm).is_zero()
 
 
 def test_p_transform_of_line_bundle_is_twisted_cotangent(eng):
