@@ -184,23 +184,19 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
         got = table.h(i, l)
         rep.add(f"h^{i}({l})", is_exact_cell(got) and int(got) == want, want, got)
 
-    if n in (2, 3, 4):
-        bad = []
-        for l in table.exact_columns():
-            chi = table.euler(l)
-            want = rr_chi(cv, l)
-            if chi != want:
-                bad.append((l, chi, want))
-        rep.add("riemann-roch", not bad, "chi matches on window", bad or "match")
-        if n == 4:
-            ok, res = schwarzenberger_ok(cv)
-            rep.add("schwarzenberger", ok, 0, res)
-    else:
-        rep.add("riemann-roch", True, got="skipped: no evaluator for n=5")
+    bad = []
+    for l in table.exact_columns():
+        chi, want = table.euler(l), rr_chi(cv, l)
+        if chi != want:
+            bad.append((l, chi, want))
+    rep.add("riemann-roch", not bad, "chi matches on window", bad or "match")
+    if n == 4:
+        ok, res = schwarzenberger_ok(cv)
+        rep.add("schwarzenberger", ok, 0, res)
 
     if expected.get("p_chern_fixed"):
         pc = p_chern(cv)
-        rep.add("transform-fixed-chern", pc.c[:3] == cv.c[:3], cv.c[:3], pc.c[:3])
+        rep.add("transform-fixed-chern", pc.c == cv.c, cv.c, pc.c)
 
     gg = expected.get("gg", "stated-only")
     if gg == "stated-only":

@@ -1,10 +1,10 @@
-"""Chern-class arithmetic modulo H^{n+1} and Riemann-Roch evaluators.
+"""Chern-class arithmetic modulo H^{n+1} and Riemann-Roch on P^1..P^5.
 
 Chern data is held as an integer vector (rank; c_1..c_n); products and
 quotients of total Chern classes are truncated polynomial arithmetic over
-the integers.  Euler characteristics of twists are evaluated through the
-signed binomial chi(O_{P^n}(m)) = C(m+n, n) extended to all integers m,
-which fixes every boundary convention downstream.
+the integers.  chi(E(l)) is one splitting-principle formula for every n:
+the sum of chi(O_{P^n}(l + x_i)) over the Chern roots x_i, with the signed
+binomial chi(O_{P^n}(m)) = C(m+n, n) extended to all integers m.
 """
 
 from __future__ import annotations
@@ -109,49 +109,46 @@ def dual_chern(cv: ChernVector) -> ChernVector:
 
 
 def p_chern(cv: ChernVector) -> ChernVector:
-    """Chern data of the transform P(E) on the first three classes.
+    """Chern classes of the transform P(E): the dual of c(E)^{-1}.
 
-    (c1, c2, c3) -> (c1, c1^2 - c2, c3 + c1(c1^2 - 2c2)); an involution.
-    The rank of P(E) is h^0(E) - rank(E) and must be supplied by the
-    cohomology layer when needed.
+    P(E) is the dual of the kernel of H^0(E) ⊗ O → E, so its total Chern
+    class is dual_chern(1 / c(E)); the map is an involution on every P^n.
+    Only the classes are computed: the rank of P(E) is h^0(E) - rank(E)
+    and must be supplied by the cohomology layer when needed.
     """
-    c1 = cv[1]
-    c2 = cv[2]
-    c3 = cv[3]
-    out = [c1, c1 * c1 - c2]
-    if cv.n >= 3:
-        out.append(c3 + c1 * (c1 * c1 - 2 * c2))
-    return ChernVector.make(cv.n, cv.rank, out)
+    return dual_chern(ChernVector.make(cv.n, cv.rank,
+                                       poly_div((1,), cv.total, cv.n)[1:]))
 
 
 def rr_chi(cv: ChernVector, l: int) -> int:
-    """Euler characteristic chi(E(l)) on P^2, P^3 or P^4.
+    """Euler characteristic chi(E(l)) on P^n for 1 <= n <= 5.
 
-    P^3 requires c3 ≡ c1·c2 (mod 2); P^4 requires the Schwarzenberger
-    congruence.  Violations raise ValueError since no vector bundle can
-    carry such Chern data.
+    chi(E(l)) = sum_i chi(O(l + x_i)) over the Chern roots x_i.  With
+    (t+1)...(t+n) = sum_m a_m t^m and power sums p_j (p_0 = rank),
+    n!·chi(E(l)) = sum_m a_m sum_{j<=m} C(m, j) l^(m-j) p_j.  Rank and
+    Chern data whose chi is not an integer at one of the twists l..l+n
+    (on P^3 an odd c3 - c1*c2, on P^4 a Schwarzenberger violation) belong
+    to no vector bundle and raise ValueError.
     """
-    n, r = cv.n, cv.rank
-    c1, c2, c3, c4 = cv[1], cv[2], cv[3], cv[4]
-    base = (r - 1) * chi_line(n, l) + chi_line(n, c1 + l)
-    if n == 2:
-        return base - c2
-    if n == 3:
-        if (c3 - c1 * c2) % 2:
-            raise ValueError(f"parity violation: c3 - c1*c2 odd for {cv}")
-        return base - (l + 2) * c2 + (c3 - c1 * c2) // 2
-    if n == 4:
-        ok, res = schwarzenberger_ok(cv)
-        if not ok:
-            raise ValueError(f"Schwarzenberger violation (residue {res}) for {cv}")
-        # assemble over 12 so the two half-integral terms combine exactly
-        num = (6 * (l + 2) * (l + 3) * (-c2)
-               + 6 * (l + 2) * (c3 - c1 * c2)
-               + (2 * c1 + 3) * (c3 - c1 * c2) + c2 * c2 + c2 - 2 * c4)
-        if num % 12:
-            raise ValueError(f"non-integral chi for {cv} at l={l}")
-        return base + num // 12
-    raise ValueError(f"Riemann-Roch evaluator only covers n = 2, 3, 4 (got n={n})")
+    n = cv.n
+    if not 1 <= n <= 5:
+        raise ValueError(f"Riemann-Roch is evaluated on P^1..P^5 (got n={n})")
+    c = cv.total
+    # Newton's identities: p_k = sum_{j<k} (-1)^(j-1) c_j p_{k-j} + (-1)^(k-1) k c_k
+    pw = [cv.rank]
+    for k in range(1, n + 1):
+        pw.append(sum((-1) ** (j - 1) * c[j] * pw[k - j] for j in range(1, k))
+                  + (-1) ** (k - 1) * k * c[k])
+    a = (1,)
+    for k in range(1, n + 1):
+        a = poly_mul(a, (k, 1), n)
+    # n!·chi(E(t)) as a polynomial in t, then its values at t = l..l+n
+    coef = [sum(a[m] * comb(m, k) * pw[m - k] for m in range(k, n + 1))
+            for k in range(n + 1)]
+    scaled = [sum(q * t ** k for k, q in enumerate(coef)) for t in range(l, l + n + 1)]
+    if any(v % a[0] for v in scaled):
+        raise ValueError(f"non-integral chi for {cv}: no bundle has these Chern classes")
+    return scaled[0] // a[0]
 
 
 def schwarzenberger_ok(cv: ChernVector) -> tuple[bool, int]:

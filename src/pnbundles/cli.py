@@ -26,7 +26,7 @@ from .geometry import (LineParam, cayley_bacharach, edge_avoidance,
 from .graded import GradedMatrix
 from .modp import DEFAULT_PRIME, MAX_PRIME, check_prime
 from .pencil import classify, linear_matrix_2x4
-from .sheaves import CohTable, Cohomology, chern_of_node
+from .sheaves import CohTable, Cohomology, chern_of_node, is_exact_cell
 from .spectra import (Spectrum, c3_from_spectrum, enumerate_spectra,
                       h1_from_spectrum, h2_from_spectrum)
 
@@ -91,7 +91,12 @@ def cmd_chern(args):
     node, n = _node_from_file(args.node, args.prime)
     cv = chern_of_node(node)
     if args.transform:
-        cv = p_chern(cv)
+        # P(E) has rank h^0(E) - rank(E); p_chern gives only its classes
+        h0 = Cohomology(p=args.prime).h(node, 0, 0)
+        if not is_exact_cell(h0):
+            raise InputError(f"h^0(E) is only bounded, in {h0}; "
+                             "the rank of the transform is not determined")
+        cv = ChernVector.make(n, int(h0) - cv.rank, p_chern(cv).c)
     out = {"rank": cv.rank, "c": list(cv.c)}
     if n == 4:
         ok, res = schwarzenberger_ok(cv)

@@ -329,6 +329,7 @@ class Cohomology:
         self._values: dict = {}
         self._h0: dict = {}
         self._hn: dict = {}
+        self._sections: dict = {}
         self._cert: dict = {}
 
     # -- certificates ---------------------------------------------------------
@@ -647,12 +648,16 @@ class Cohomology:
 
     def h0_basis(self, node, l: int) -> GradedMatrix:
         """Explicit section basis, one column per section, as the map
-        O(-l)^h0 → ⊕O(ambient); for quotients these are coset reps."""
-        ps = self.h0_presented(node, l)
-        if ps.quot is not None and ps.quot.size and isinstance(node, (KerNode, LineSum, SumNode)):
-            raise AssertionError("unexpected quotient in a subspace model")
-        return GradedMatrix.from_piece(nvars_of(node), ambient_twists(node), l,
-                                       ps.space_rows(), self.p)
+        O(-l)^h0 → ⊕O(ambient); for quotients these are coset reps.
+        Built once per (node, l), next to the cached coefficient rows."""
+        key = (node, l)
+        if key not in self._sections:
+            ps = self.h0_presented(node, l)
+            if ps.quot is not None and ps.quot.size and isinstance(node, (KerNode, LineSum, SumNode)):
+                raise AssertionError("unexpected quotient in a subspace model")
+            self._sections[key] = GradedMatrix.from_piece(
+                nvars_of(node), ambient_twists(node), l, ps.space_rows(), self.p)
+        return self._sections[key]
 
     def p_transform(self, node) -> KerNode:
         """Kernel-of-evaluation node whose dual is the transform of `node`.

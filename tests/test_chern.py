@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,11 +52,14 @@ def test_p_chern_examples():
     assert p_chern(ChernVector.make(3, 3, (4, 8, 8))).c == (4, 8, 8)
     assert p_chern(ChernVector.make(3, 2, (4, 5, 0))).c == (4, 11, 24)
     assert p_chern(ChernVector.make(3, 1, (4, 0, 0))).c == (4, 16, 64)
+    # p4-wedge2-cotangent-3 goes to p4-cotangent-2's data; then p5-cotangent-2
+    assert p_chern(ChernVector.make(4, 6, (3, 5, 5, 0))).c == (3, 4, 2, 1)
+    assert p_chern(ChernVector.make(5, 5, (4, 7, 6, 3, 0))).c == (4, 9, 14, 14, 0)
 
 
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-99, 99))
-def test_p_chern_involution(c1, c2, c3):
-    cv = ChernVector.make(3, 3, (c1, c2, c3))
+@given(st.sampled_from((3, 4, 5)), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+def test_p_chern_involution(n, c):
+    cv = ChernVector.make(n, 3, c)
     assert p_chern(p_chern(cv)).c == cv.c
 
 
@@ -84,6 +89,70 @@ def test_rr_p4_via_schwarzenberger():
     assert rr_chi(cv, 0) == 10  # matches the verified table
     with pytest.raises(ValueError):
         rr_chi(ChernVector.make(4, 2, (5, 8, 0, 0)), 0)
+
+
+def test_rr_range():
+    assert rr_chi(ChernVector.make(1, 2, (3,)), 0) == 5
+    assert rr_chi(ChernVector.make(5, 5, (4, 7, 6, 3, 0)), 0) == 15
+    for n in (0, 6, 7):
+        with pytest.raises(ValueError, match="P\\^1..P\\^5"):
+            rr_chi(ChernVector.make(n, 1, ()), 0)
+
+
+def _rr_chi_closed_form(cv, l):
+    """The hand-derived chi(E(l)) on P^2, P^3 and P^4, with the parity and
+    Schwarzenberger guards; the reference for the general formula."""
+    n, r = cv.n, cv.rank
+    c1, c2, c3, c4 = cv[1], cv[2], cv[3], cv[4]
+    base = (r - 1) * chi_line(n, l) + chi_line(n, c1 + l)
+    if n == 2:
+        return base - c2
+    if n == 3:
+        if (c3 - c1 * c2) % 2:
+            raise ValueError(f"parity violation: c3 - c1*c2 odd for {cv}")
+        return base - (l + 2) * c2 + (c3 - c1 * c2) // 2
+    assert n == 4
+    ok, res = schwarzenberger_ok(cv)
+    if not ok:
+        raise ValueError(f"Schwarzenberger violation (residue {res}) for {cv}")
+    # assemble over 12 so the two half-integral terms combine exactly
+    num = (6 * (l + 2) * (l + 3) * (-c2)
+           + 6 * (l + 2) * (c3 - c1 * c2)
+           + (2 * c1 + 3) * (c3 - c1 * c2) + c2 * c2 + c2 - 2 * c4)
+    if num % 12:
+        raise ValueError(f"non-integral chi for {cv} at l={l}")
+    return base + num // 12
+
+
+def _chi_or_none(f, cv, l):
+    try:
+        return f(cv, l)
+    except ValueError:
+        return None
+
+
+def test_rr_matches_closed_forms():
+    rng = random.Random(20131)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        cv = ChernVector.make(n, rng.randint(1, 7), [rng.randint(-9, 9) for _ in range(n)])
+        for l in range(-8, 9):
+            want = _chi_or_none(_rr_chi_closed_form, cv, l)
+            assert _chi_or_none(rr_chi, cv, l) == want, (cv, l)
+            outcomes.add((n, want is None))
+    # both accepted and rejected vectors occur on P^3 and P^4
+    assert {(3, True), (3, False), (4, True), (4, False)} <= outcomes
+
+
+def test_rr_line_sums_match_chi_line():
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for _ in range(40):
+            twists = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
+            cv = line_sum_chern(n, twists)
+            for l in range(-n - 3, 4):
+                assert rr_chi(cv, l) == sum(chi_line(n, a + l) for a in twists)
 
 
 def test_schwarzenberger_residues():

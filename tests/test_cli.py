@@ -36,6 +36,49 @@ def test_rr_command(capsys):
     assert json.loads(capsys.readouterr().out)["chi"] == 10
 
 
+def _catalog_node_file(tmp_path, entry_id):
+    cat = json.loads(Path(CATALOG).read_text(encoding="utf-8"))
+    entry = next(e for e in cat["entries"] if e["id"] == entry_id)
+    return write(tmp_path, f"{entry_id}.json",
+                 {"n": entry["n"], "construction": entry["construction"]})
+
+
+@pytest.mark.parametrize("entry_id, want", [
+    # the transform of wedge^2 of the twisted cotangent bundle on P^4 is
+    # p4-cotangent-2's data; on P^5 the rank is h^0 - rank = 15 - 5
+    ("p4-wedge2-cotangent-3",
+     {"rank": 4, "c": [3, 4, 2, 1], "schwarzenberger": {"ok": True, "residue": 0}}),
+    ("p5-cotangent-2", {"rank": 10, "c": [4, 9, 14, 14, 0]}),
+])
+def test_chern_transform_command(tmp_path, capsys, entry_id, want):
+    node = _catalog_node_file(tmp_path, entry_id)
+    assert main(["chern", node, "--transform", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+def test_chern_transform_needs_exact_h0(tmp_path, monkeypatch, capsys):
+    node = _catalog_node_file(tmp_path, "p4-wedge2-cotangent-3")
+    monkeypatch.setattr("pnbundles.cli.Cohomology.h", lambda self, node, i, l: (9, 11))
+    assert main(["chern", node, "--transform", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank of the transform" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "6", "100000"])
+def test_rr_command_rejects_n_outside_1_to_5(n, monkeypatch, capsys):
+    def no_arithmetic(*args):
+        raise AssertionError("Riemann-Roch arithmetic ran")
+
+    monkeypatch.setattr("pnbundles.chern.poly_mul", no_arithmetic)
+    assert main(["rr", "--n", n, "--rank", "1", "--c", "0", "--l", "0"]) == 2
+    assert "P^1..P^5" in capsys.readouterr().err
+
+
+def test_rr_command_on_p5(capsys):
+    assert main(["rr", "--n", "5", "--rank", "5", "--c", "4,7,6,3,0", "--l", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "chi(E(0)) = 15"
+
+
 def test_coh_command(kernel_node_file, capsys):
     assert main(["--window=-3:-2", "coh", kernel_node_file, "--json"]) == 0
     cells = {(i, l): h for i, l, h in

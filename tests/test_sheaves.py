@@ -127,6 +127,24 @@ def test_monotone_vanishing_property(eng):
                                for j in range(i + 1, n + 1)), (i, m)
 
 
+def test_h0_basis_builds_sections_once_per_key(monkeypatch):
+    calls = []
+    from_piece = GradedMatrix.from_piece
+
+    def spy(*args):
+        calls.append(args[2])
+        return from_piece(*args)
+
+    monkeypatch.setattr(GradedMatrix, "from_piece", staticmethod(spy))
+    eng = Cohomology()
+    node = mixed_kernel()
+    first = eng.h0_basis(node, 1)
+    assert eng.h0_basis(node, 1) is first
+    assert calls == [1]
+    eng.h0_basis(node, 2)
+    assert calls == [1, 2]
+
+
 def test_h0_basis_line_sum_and_empty_twist(eng):
     sm = eng.h0_basis(LineSum.make(4, (1, 1, 1, 1)), 0)
     assert sm.ncols == 16  # coordinate sections of four twisted summands
