@@ -120,6 +120,13 @@ def p_chern(cv: ChernVector) -> ChernVector:
                                        poly_div((1,), cv.total, cv.n)[1:]))
 
 
+def check_rr_dim(n: int) -> int:
+    """n itself when Riemann-Roch is evaluated on P^n (1 <= n <= 5)."""
+    if not 1 <= n <= 5:
+        raise ValueError(f"Riemann-Roch is evaluated on P^1..P^5 (got n={n})")
+    return n
+
+
 def rr_chi(cv: ChernVector, l: int) -> int:
     """Euler characteristic chi(E(l)) on P^n for 1 <= n <= 5.
 
@@ -130,9 +137,7 @@ def rr_chi(cv: ChernVector, l: int) -> int:
     (on P^3 an odd c3 - c1*c2, on P^4 a Schwarzenberger violation) belong
     to no vector bundle and raise ValueError.
     """
-    n = cv.n
-    if not 1 <= n <= 5:
-        raise ValueError(f"Riemann-Roch is evaluated on P^1..P^5 (got n={n})")
+    n = check_rr_dim(cv.n)
     c = cv.total
     # Newton's identities: p_k = sum_{j<k} (-1)^(j-1) c_j p_{k-j} + (-1)^(k-1) k c_k
     pw = [cv.rank]

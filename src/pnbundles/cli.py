@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .chern import ChernVector, p_chern, rr_chi, schwarzenberger_ok
+from .chern import (ChernVector, check_rr_dim, p_chern, rr_chi,
+                    schwarzenberger_ok)
 from .complexes import FreeComplex, ferrand_liaison, verify_exact
 from .exterior import InsufficientTable, beilinson_terms
 from .forms import parse_form
@@ -71,7 +72,7 @@ def _parse_line(text, nvars, prime):
         raise InputError(f"bad line argument {text!r}: {exc}") from None
 
 
-def _parse_window(text, n):
+def _parse_window(text):
     if not text:
         return None
     try:
@@ -109,7 +110,7 @@ def cmd_chern(args):
 
 def cmd_rr(args):
     c = [int(v) for v in args.c.split(",")] if args.c else []
-    cv = ChernVector.make(args.n, args.rank, c)
+    cv = ChernVector.make(check_rr_dim(args.n), args.rank, c)
     chi = rr_chi(cv, args.l)
     print(json.dumps({"chi": chi}) if args.json else f"chi(E({args.l})) = {chi}")
     return 0
@@ -118,7 +119,7 @@ def cmd_rr(args):
 def cmd_coh(args):
     node, n = _node_from_file(args.node, args.prime)
     eng = Cohomology(p=args.prime)
-    table = eng.table(node, _parse_window(args.window, n))
+    table = eng.table(node, _parse_window(args.window))
     if args.json:
         cells = [[i, l, table.h(i, l)] for (i, l) in sorted(table.cells)]
         print(json.dumps({"n": n, "cells": cells}, default=str))

@@ -96,18 +96,6 @@ def _sort_sign(idx: tuple) -> tuple[tuple, int]:
     return tuple(idx), sign
 
 
-def _shuffle_sign(sub: tuple, whole: tuple) -> int:
-    """Sign of the shuffle placing `sub` before its complement in `whole`."""
-    rest = [x for x in whole if x not in sub]
-    perm = list(sub) + rest
-    sign = 1
-    seen = []
-    for x in perm:
-        sign *= (-1) ** sum(1 for y in seen if y > x)
-        seen.append(x)
-    return sign
-
-
 def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
     if a.dim != b.dim or a.p != b.p:
         raise ValueError("space mismatch")
@@ -141,7 +129,7 @@ def contract(phi: ExtElement, omega: ExtElement) -> ExtElement:
             if not set(kw) <= fset:
                 continue
             rest = tuple(i for i in kf if i not in kw)
-            sign = _shuffle_sign(kw, kf)
+            sign = _sort_sign(kw + rest)[1]
             out[rest] = (out.get(rest, 0) + cf * cw * sign) % p
     return ExtElement(phi.dim, phi.grade - omega.grade,
                       tuple(sorted((k, v) for k, v in out.items() if v)), p)

@@ -21,9 +21,9 @@ from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
 from .modp import (DEFAULT_PRIME, batched_rank, check_prime, kernel_basis,
                    rank, relative_rank)
-from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
-                      ambient_twists, chern_of_node, nvars_of, prime_of,
-                      rank_of)
+from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
+                      fiber_dims, fiber_quot_rows, first_failure, ker_node,
+                      nvars_of, prime_of, rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "epi_certificate", "cayley_bacharach",
@@ -168,50 +168,20 @@ class GGVerdict:
         return self.generated
 
 
-def _fiber_quot_rows(node, pts, ev) -> np.ndarray:
-    """Rows to quotient out of the ambient fiber, stacked per point; ev
-    maps a matrix to its values at pts."""
-    npts = pts.shape[0]
-    amb = ambient_twists(node)
-    s = len(amb)
-    if isinstance(node, (LineSum, KerNode)):
-        return np.zeros((npts, 0, s), dtype=np.int64)
-    if isinstance(node, QuotNode):
-        return np.transpose(ev(node.matrix), (0, 2, 1))
-    if isinstance(node, SumNode):
-        blocks = [_fiber_quot_rows(q, pts, ev) for q in node.parts]
-        widths = [len(ambient_twists(q)) for q in node.parts]
-        total_q = sum(b.shape[1] for b in blocks)
-        out = np.zeros((npts, total_q, s), dtype=np.int64)
-        qoff = woff = 0
-        for b, w in zip(blocks, widths):
-            out[:, qoff:qoff + b.shape[1], woff:woff + w] = b
-            qoff += b.shape[1]
-            woff += w
-        return out
-    raise ValueError("unsupported node for fiber evaluation")
-
-
-def _fiber_dims(node, pts, ev, p) -> np.ndarray:
-    """Fiber dimensions at each point (detects degeneracy); ev as in
-    _fiber_quot_rows."""
-    npts = pts.shape[0]
-    if isinstance(node, LineSum):
-        return np.full(npts, len(node.twists), dtype=np.int64)
-    if isinstance(node, KerNode):
-        vals = ev(node.matrix)
-        if isinstance(node.target, QuotNode):
-            rk = relative_rank(np.transpose(vals, (0, 2, 1)),
-                               _fiber_quot_rows(node.target, pts, ev), p)
-        else:
-            rk = batched_rank(vals, p)
-        return len(node.matrix.src) - rk
-    if isinstance(node, QuotNode):
-        return (_fiber_dims(node.inner, pts, ev, p)
-                - batched_rank(ev(node.matrix), p))
-    if isinstance(node, SumNode):
-        return sum(_fiber_dims(q, pts, ev, p) for q in node.parts)
-    raise ValueError("unsupported node for fiber evaluation")
+def _sampled_verdict(node, secs: GradedMatrix, r: int, pts, trials: int,
+                     seed: int, p: int) -> GGVerdict:
+    """The fiber of node must be r-dimensional at every point, and then
+    spanned by the sections secs; the first failing point is the witness."""
+    ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
+    npts = len(pts)
+    x = first_failure(fiber_dims(node, npts, ev, p), r, pts)
+    if x is None:
+        spans = relative_rank(ev(secs).transpose(0, 2, 1),
+                              fiber_quot_rows(node, npts, ev), p)
+        x = first_failure(spans, r, pts)
+    if x is None:
+        return GGVerdict(True, "generated-up-to-sampling", trials, seed)
+    return GGVerdict(False, "not-generated", trials, seed, witness_point=x)
 
 
 def is_globally_generated(node, trials: int = 500, seed: int = 90021,
@@ -239,21 +209,7 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     hints = [normalize_point(q, p) for q in hint_points]
     pts = np.array(hints + random_points(nv, trials, seed, p),
                    dtype=np.int64).reshape(-1, nv)
-    ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
-
-    dims = _fiber_dims(node, pts, ev, p)
-    bad = np.nonzero(dims != r)[0]
-    if bad.size:
-        x = tuple(int(c) for c in pts[bad[0]])
-        return GGVerdict(False, "not-generated", trials, seed, witness_point=x)
-
-    vals = np.transpose(ev(secs), (0, 2, 1))
-    spans = relative_rank(vals, _fiber_quot_rows(node, pts, ev), p)
-    bad = np.nonzero(spans != r)[0]
-    if bad.size:
-        x = tuple(int(c) for c in pts[bad[0]])
-        return GGVerdict(False, "not-generated", trials, seed, witness_point=x)
-    return GGVerdict(True, "generated-up-to-sampling", trials, seed)
+    return _sampled_verdict(node, secs, r, pts, trials, seed, p)
 
 
 def reverify_witness(node, verdict: GGVerdict, eng: Cohomology | None = None) -> bool:
@@ -283,19 +239,10 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     nv = matrix.nvars
     pts = np.array(random_points(nv, trials, seed, p),
                    dtype=np.int64).reshape(-1, nv)
-    dims = matrix.ncols - batched_rank(matrix.evaluate(pts), p)
-    bad = np.nonzero(dims != expected_rank)[0]
-    if bad.size:
-        return GGVerdict(False, "not-generated", trials, seed,
-                         witness_point=tuple(int(c) for c in pts[bad[0]]))
     secs = GradedMatrix.from_piece(nv, matrix.src, 0,
                                    kernel_basis(matrix.graded_piece(0), p), p)
-    spans = batched_rank(np.transpose(secs.evaluate(pts), (0, 2, 1)), p)
-    bad = np.nonzero(spans != expected_rank)[0]
-    if bad.size:
-        return GGVerdict(False, "not-generated", trials, seed,
-                         witness_point=tuple(int(c) for c in pts[bad[0]]))
-    return GGVerdict(True, "generated-up-to-sampling", trials, seed)
+    return _sampled_verdict(ker_node(matrix), secs, expected_rank, pts,
+                            trials, seed, p)
 
 
 # -- Cayley-Bacharach ------------------------------------------------------------

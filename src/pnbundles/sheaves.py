@@ -270,6 +270,66 @@ def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarr
     return m + k - full.shape[0] - rank(q, p), rows
 
 
+def block_rows(blocks, widths) -> np.ndarray:
+    """Row blocks placed down the diagonal: block k gets its own rows and
+    the widths[k] columns after the earlier blocks'.  Blocks are 2-D
+    (rows, width) or batched (N, rows, width); one with no entries adds
+    no rows."""
+    offs = np.cumsum((0,) + tuple(widths))
+    kept = [(b, o) for b, o in zip(blocks, offs) if b.size]
+    out = np.zeros(blocks[0].shape[:-2] + (sum(b.shape[-2] for b, _ in kept), offs[-1]),
+                   dtype=np.int64)
+    r = 0
+    for b, o in kept:
+        out[..., r:r + b.shape[-2], o:o + b.shape[-1]] = b
+        r += b.shape[-2]
+    return out
+
+
+# -- fibers at points ------------------------------------------------------------
+# `ev` maps a GradedMatrix to its values at the npts points, (npts, rows, cols).
+
+def fiber_quot_rows(node, npts: int, ev) -> np.ndarray:
+    """Rows to quotient out of the ambient fiber, stacked per point."""
+    if isinstance(node, (LineSum, KerNode)):
+        return np.zeros((npts, 0, len(ambient_twists(node))), dtype=np.int64)
+    if isinstance(node, QuotNode):
+        return ev(node.matrix).transpose(0, 2, 1)
+    if isinstance(node, SumNode):
+        return block_rows([fiber_quot_rows(q, npts, ev) for q in node.parts],
+                          [len(ambient_twists(q)) for q in node.parts])
+    raise ValueError("unsupported node for fiber evaluation")
+
+
+def fiber_ranks(node, npts: int, ev, p: int) -> np.ndarray:
+    """Rank at each point of the map defining a kernel or quotient node;
+    onto a quotient the rank is taken modulo the subobject's fiber."""
+    vals = ev(node.matrix)
+    if isinstance(node, KerNode) and isinstance(node.target, QuotNode):
+        return relative_rank(vals.transpose(0, 2, 1),
+                             fiber_quot_rows(node.target, npts, ev), p)
+    return batched_rank(vals, p)
+
+
+def fiber_dims(node, npts: int, ev, p: int) -> np.ndarray:
+    """Fiber dimension at each point (a drop or jump marks degeneracy)."""
+    if isinstance(node, LineSum):
+        return np.full(npts, len(node.twists), dtype=np.int64)
+    if isinstance(node, KerNode):
+        return len(node.matrix.src) - fiber_ranks(node, npts, ev, p)
+    if isinstance(node, QuotNode):
+        return fiber_dims(node.inner, npts, ev, p) - fiber_ranks(node, npts, ev, p)
+    if isinstance(node, SumNode):
+        return sum(fiber_dims(q, npts, ev, p) for q in node.parts)
+    raise ValueError("unsupported node for fiber evaluation")
+
+
+def first_failure(values, want, pts) -> tuple | None:
+    """The first point whose value is not want, as a tuple, or None."""
+    bad = np.flatnonzero(values != want)
+    return tuple(int(c) for c in pts[bad[0]]) if bad.size else None
+
+
 # -- cohomology cells ----------------------------------------------------------
 
 Cell = object  # int (exact) or (lo, hi) interval for indeterminate cells
@@ -277,6 +337,18 @@ Cell = object  # int (exact) or (lo, hi) interval for indeterminate cells
 
 def is_exact_cell(v) -> bool:
     return isinstance(v, (int, np.integer))
+
+
+def cell_bounds(v) -> tuple:
+    return (v, v) if is_exact_cell(v) else v
+
+
+def shift_cell(v, lo, hi=None) -> Cell:
+    """Cell v with lo added to its lower bound and hi (default lo) to its
+    upper bound; equal bounds collapse to an exact value."""
+    a, b = cell_bounds(v)
+    a, b = int(a + lo), int(b + (lo if hi is None else hi))
+    return a if a == b else (a, b)
 
 
 @dataclass
@@ -356,12 +428,13 @@ class Cohomology:
         return np.concatenate([np.array(pts, dtype=np.int64).reshape(-1, nv),
                                np.eye(nv, dtype=np.int64)])
 
-    @staticmethod
-    def _check_samples(ranks, want: int, pts, message: str) -> None:
-        """Raise `message` with the first sample point whose rank is not want."""
-        bad = np.flatnonzero(ranks != want)
-        if bad.size:
-            x = tuple(int(c) for c in pts[bad[0]])
+    def _check_fibers(self, node, want: int, message: str) -> None:
+        """Raise `message` with the first sample point at which the map
+        defining node does not have rank want."""
+        pts = self._sample_points(nvars_of(node))
+        ranks = fiber_ranks(node, len(pts), lambda m: m.evaluate(pts), self.p)
+        x = first_failure(ranks, want, pts)
+        if x is not None:
             raise CertificationError(f"{message} at sample point {x}")
 
     def _certify(self, node) -> None:
@@ -376,33 +449,21 @@ class Cohomology:
             return
         if isinstance(node, KerNode):
             self.certify(node.target)
-            m = node.matrix
-            if isinstance(node.target, LineSum):
+            m, tgt = node.matrix, node.target
+            if isinstance(tgt, LineSum):
                 ok, _deg = epi_certificate(m, max_degree=self._cert_degree(m))
                 if not ok:
                     raise CertificationError(
-                        f"matrix onto {node.target.twists} is not surjective "
+                        f"matrix onto {tgt.twists} is not surjective "
                         f"(minor ideal never fills a full degree)")
-            elif isinstance(node.target, KerNode):
-                inner = node.target.matrix
-                if not inner.compose(m).is_zero():
-                    raise CertificationError("kernel map does not land in the target")
-                pts = self._sample_points(m.nvars)
-                self._check_samples(batched_rank(m.evaluate(pts), self.p),
-                                    rank_of(node.target), pts,
-                                    "map is not onto the target")
-            else:  # quotient target: compare ranks modulo the subobject fibers
-                tgt = node.target
-                if isinstance(tgt.inner, KerNode):
-                    if not tgt.inner.matrix.compose(m).is_zero():
-                        raise CertificationError(
-                            "kernel map does not land in the quotient's carrier")
-                pts = self._sample_points(m.nvars)
-                ranks = relative_rank(m.evaluate(pts).transpose(0, 2, 1),
-                                      tgt.matrix.evaluate(pts).transpose(0, 2, 1),
-                                      self.p)
-                self._check_samples(ranks, rank_of(tgt), pts,
-                                    "map is not onto the quotient")
+                return
+            # the map must land in the kernel that carries the target
+            carrier = tgt if isinstance(tgt, KerNode) else tgt.inner
+            if isinstance(carrier, KerNode) and not carrier.matrix.compose(m).is_zero():
+                where = "target" if carrier is tgt else "quotient's carrier"
+                raise CertificationError(f"kernel map does not land in the {where}")
+            onto = "target" if carrier is tgt else "quotient"
+            self._check_fibers(node, rank_of(tgt), f"map is not onto the {onto}")
             return
         if isinstance(node, QuotNode):
             self.certify(node.inner)
@@ -410,9 +471,7 @@ class Cohomology:
             if isinstance(node.inner, KerNode):
                 if not node.inner.matrix.compose(m).is_zero():
                     raise CertificationError("subobject map does not land in the node")
-            pts = self._sample_points(m.nvars)
-            self._check_samples(batched_rank(m.evaluate(pts), self.p), len(m.src),
-                                pts, "subobject map drops rank")
+            self._check_fibers(node, len(m.src), "subobject map drops rank")
             lmin = -max(m.src)
             for l in range(lmin, lmin + 5):
                 G = m.graded_piece(l)
@@ -484,13 +543,8 @@ class Cohomology:
             parts = [self.values(q, l) for q in node.parts]
             vals = []
             for i in range(n + 1):
-                cells = [pv[i] for pv in parts]
-                if all(is_exact_cell(c) for c in cells):
-                    vals.append(int(sum(cells)))
-                else:
-                    lo = sum(c if is_exact_cell(c) else c[0] for c in cells)
-                    hi = sum(c if is_exact_cell(c) else c[1] for c in cells)
-                    vals.append((lo, hi))
+                lo, hi = map(sum, zip(*(cell_bounds(pv[i]) for pv in parts)))
+                vals.append(shift_cell(0, lo, hi))
             self._h0[key] = self._block_presented(
                 [self._h0.get((q, l)) for q in node.parts],
                 [self._amb_dim0(q, l) for q in node.parts])
@@ -515,24 +569,9 @@ class Cohomology:
     def _block_presented(parts, dims) -> Presented | None:
         if any(q is None for q in parts):
             return None
-        total = sum(dims)
-        space_blocks, quot_blocks = [], []
-        off = 0
-        for q, d in zip(parts, dims):
-            s = q.space_rows()
-            if s.size:
-                blk = zeros(s.shape[0], total)
-                blk[:, off:off + d] = s
-                space_blocks.append(blk)
-            qq = q.quot_rows()
-            if qq.size:
-                blk = zeros(qq.shape[0], total)
-                blk[:, off:off + d] = qq
-                quot_blocks.append(blk)
-            off += d
-        space = np.concatenate(space_blocks) if space_blocks else zeros(0, total)
-        quot = np.concatenate(quot_blocks) if quot_blocks else None
-        return Presented(total, space, quot)
+        quot = block_rows([q.quot_rows() for q in parts], dims)
+        return Presented(sum(dims), block_rows([q.space_rows() for q in parts], dims),
+                         quot if quot.size else None)
 
     def _values_kernel(self, node: KerNode, l: int) -> tuple:
         p = self.p
@@ -550,12 +589,8 @@ class Cohomology:
         h0 = dim_a0 - rank0
         self._h0[key] = Presented(dim_a0, ker0, None)
 
-        vals: list = [h0]
         # h^1 = coker on the section strand
-        if is_exact_cell(tvals[0]):
-            vals.append(int(tvals[0]) - rank0)
-        else:
-            vals.append((tvals[0][0] - rank0, tvals[0][1] - rank0))
+        vals: list = [h0, shift_cell(tvals[0], -rank0)]
         # middle range
         for i in range(2, n):
             vals.append(tvals[i - 1])
@@ -564,20 +599,13 @@ class Cohomology:
         dim_an = T.shape[1]
         if tn is not None:
             rank_n, kern = kernel_into(T, tn, p)
-            kerdim = dim_an - rank_n
-            if is_exact_cell(tvals[n - 1]):
-                vals.append(int(tvals[n - 1]) + kerdim)
-            else:
-                vals.append((tvals[n - 1][0] + kerdim, tvals[n - 1][1] + kerdim))
+            vals.append(shift_cell(tvals[n - 1], dim_an - rank_n))
             if tvals[n - 1] == 0:
                 self._hn[key] = Presented(dim_an, kern, None)
             else:
                 self._hn[key] = None
         else:
-            lo = tvals[n - 1] if is_exact_cell(tvals[n - 1]) else tvals[n - 1][0]
-            hi = (tvals[n - 1] if is_exact_cell(tvals[n - 1])
-                  else tvals[n - 1][1]) + dim_an
-            vals.append(int(lo) if lo == hi else (int(lo), int(hi)))
+            vals.append(shift_cell(tvals[n - 1], 0, dim_an))
             self._hn[key] = None
         return tuple(vals)
 
@@ -595,11 +623,7 @@ class Cohomology:
         dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
         G = m.graded_piece(l)
 
-        vals: list = []
-        if is_exact_cell(ivals[0]):
-            vals.append(int(ivals[0]) - dim_a0)
-        else:
-            vals.append((ivals[0][0] - dim_a0, ivals[0][1] - dim_a0))
+        vals: list = [shift_cell(ivals[0], -dim_a0)]
         # section model: coset representatives extending im(G) inside H^0(inner)
         img = G.T
         if i0.quot is not None and i0.quot.size:
@@ -614,21 +638,14 @@ class Cohomology:
         T = hn_matrix(m, l)
         if inn is not None:
             kerdim = dim_an - kernel_into(T, inn, p)[0]
-            for idx, delta in ((n - 1, kerdim), (n, kerdim - dim_an)):
-                v = ivals[idx]
-                if is_exact_cell(v):
-                    vals.append(int(v) + delta)
-                else:
-                    vals.append((v[0] + delta, v[1] + delta))
+            vals += [shift_cell(ivals[n - 1], kerdim),
+                     shift_cell(ivals[n], kerdim - dim_an)]
             new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
             self._hn[key] = Presented(inn.ambient_dim, inn.space,
                                       new_quot if new_quot.size else None)
         else:
-            for idx in (n - 1, n):
-                v = ivals[idx]
-                lo = (v if is_exact_cell(v) else v[0]) - (dim_an if idx == n else 0)
-                hi = (v if is_exact_cell(v) else v[1]) + (dim_an if idx == n - 1 else 0)
-                vals.append(int(lo) if lo == hi else (int(lo), int(hi)))
+            vals += [shift_cell(ivals[n - 1], 0, dim_an),
+                     shift_cell(ivals[n], -dim_an, 0)]
             self._hn[key] = None
         return tuple(vals)
 

@@ -74,6 +74,16 @@ def test_rr_command_rejects_n_outside_1_to_5(n, monkeypatch, capsys):
     assert "P^1..P^5" in capsys.readouterr().err
 
 
+def test_rr_command_rejects_huge_n_before_building_chern_data(monkeypatch, capsys):
+    # ChernVector.make pads c to n entries, so a huge n must not reach it
+    def no_chern_vector(*args):
+        raise AssertionError("ChernVector.make ran")
+
+    monkeypatch.setattr("pnbundles.cli.ChernVector.make", no_chern_vector)
+    assert main(["rr", "--n", "3000000", "--rank", "1", "--c", "0", "--l", "0"]) == 2
+    assert "P^1..P^5" in capsys.readouterr().err
+
+
 def test_rr_command_on_p5(capsys):
     assert main(["rr", "--n", "5", "--rank", "5", "--c", "4,7,6,3,0", "--l", "0"]) == 0
     assert capsys.readouterr().out.strip() == "chi(E(0)) = 15"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnbundles.forms import Form, random_points
+from pnbundles.forms import Form, normalize_point, random_points
 from pnbundles.geometry import (LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
                                 edge_avoidance, gg_of_raw_kernel,
@@ -104,6 +104,24 @@ def test_gg_quotient_node(eng):
     inc = GradedMatrix.column(4, -1, (0, 0, 0, 0), X)
     tm1 = quot_node(inc, LineSum.make(4, (0, 0, 0, 0)))
     assert is_globally_generated(tm1, trials=150, eng=eng).generated
+
+
+def test_gg_reports_fiber_dimension_before_span(eng):
+    # O^4 modulo a column whose entries l0, l1 vanish together on a line L
+    # (missed by the certificate's samples), plus O(-1): the sections never
+    # span, and the fiber dimension jumps on L.  The jump is the witness
+    # even where a span failure comes first.
+    l0 = X[0] + X[1] + X[2] + X[3]
+    l1 = X[0] + X[1].scale(2) + X[2].scale(3) + X[3].scale(5)
+    pinch = quot_node(GradedMatrix.column(4, -1, (0,) * 4, [l0, l1, "0", "0"]),
+                      LineSum.make(4, (0,) * 4))
+    node = sum_node(pinch, LineSum.make(4, (-1,)))
+    on_line = (1, P - 2, 1, 0)
+    assert l0.evaluate(on_line) == l1.evaluate(on_line) == 0
+    v = is_globally_generated(node, trials=0, hint_points=[(1, 2, 3, 4), on_line], eng=eng)
+    assert not v.generated and v.witness_point == on_line
+    v = is_globally_generated(node, trials=0, hint_points=[(1, 2, 3, 4)], eng=eng)
+    assert not v.generated and v.witness_point == normalize_point((1, 2, 3, 4), P)
 
 
 def test_gg_raw_kernel():

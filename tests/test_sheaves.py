@@ -3,14 +3,15 @@ import pytest
 
 from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
-from pnbundles.forms import Form
+from pnbundles.forms import Form, random_points
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import rank
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
-                               LineSum, Presented, chern_of_node,
-                               default_window, is_exact_cell, ker_node,
-                               kernel_into, quot_node, rank_of, serre_flip,
-                               sum_node, twist_node)
+                               KerNode, LineSum, Presented, QuotNode, SumNode,
+                               chern_of_node, default_window, fiber_dims,
+                               fiber_quot_rows, fiber_ranks, is_exact_cell,
+                               ker_node, kernel_into, quot_node, rank_of,
+                               serre_flip, sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -316,3 +317,89 @@ def test_engine_rejects_node_over_another_prime():
     assert Cohomology(101).h(node, 0, 1) == 10 + 20
     with pytest.raises(ValueError):
         Cohomology(4294967311)
+
+
+# -- fibers at points: batched functions against a per-point reference ----------
+
+def _values_at(m, x):
+    return np.array([[f.evaluate(x) for f in row] for row in m.entries],
+                    dtype=np.int64).reshape(m.nrows, m.ncols)
+
+
+def _ref_quot_rows(node, x):
+    if isinstance(node, QuotNode):
+        return _values_at(node.matrix, x).T
+    if isinstance(node, SumNode):
+        blocks = [_ref_quot_rows(q, x) for q in node.parts]
+        out = np.zeros((sum(b.shape[0] for b in blocks),
+                        sum(b.shape[1] for b in blocks)), dtype=np.int64)
+        r = c = 0
+        for b in blocks:
+            out[r:r + b.shape[0], c:c + b.shape[1]] = b
+            r, c = r + b.shape[0], c + b.shape[1]
+        return out
+    width = len(node.twists) if isinstance(node, LineSum) else len(node.matrix.src)
+    return np.zeros((0, width), dtype=np.int64)
+
+
+def _ref_rank(node, x):
+    vals = _values_at(node.matrix, x)
+    if isinstance(node, KerNode) and isinstance(node.target, QuotNode):
+        sub = _ref_quot_rows(node.target, x)
+        return rank(np.concatenate([vals.T, sub]), P) - rank(sub, P)
+    return rank(vals, P)
+
+
+def _ref_dim(node, x):
+    if isinstance(node, LineSum):
+        return len(node.twists)
+    if isinstance(node, KerNode):
+        return len(node.matrix.src) - _ref_rank(node, x)
+    if isinstance(node, QuotNode):
+        return _ref_dim(node.inner, x) - _ref_rank(node, x)
+    return sum(_ref_dim(q, x) for q in node.parts)
+
+
+def _fiber_nodes():
+    """(name, node, drops): drops says whether the defining map loses rank
+    at one of the test points."""
+    o4 = LineSum.make(4, (0,) * 4)
+    omega = ker_node(GradedMatrix.row(4, (0,) * 4, 1, X))
+    z = Form.zero(4, 1)
+    koszul_cols = GradedMatrix.make(
+        4, (-1,) * 3, (0,) * 4,
+        [[X[j] if i == 0 else -X[0] if i == j else z for j in (1, 2, 3)]
+         for i in range(4)])
+    tangent = quot_node(GradedMatrix.column(4, -1, (0,) * 4, X), o4)
+    units = GradedMatrix.make(4, (0,) * 3, (0,) * 4,
+                              [[str(int(i == j)) for j in (1, 2, 3)] for i in range(4)])
+    pinch = quot_node(GradedMatrix.column(4, -1, (0,) * 4, [X[0], X[1], "0", "0"]), o4)
+    return [
+        ("ker onto line sum", mixed_kernel(), False),
+        ("ker onto line sum, degenerate", ker_node(GradedMatrix.row(4, (0, 0), 1, X[:2])), True),
+        ("ker onto ker", ker_node(koszul_cols, omega), True),
+        ("ker onto quotient", ker_node(units, tangent), True),
+        ("quotient of line sum", pinch, True),
+        ("quotient of ker", nullcorrelation_twist(), False),
+    ]
+
+
+def test_fibers_match_per_point_reference():
+    pts = np.concatenate([np.array(random_points(4, 12, 5, P), dtype=np.int64),
+                          np.eye(4, dtype=np.int64), [[1, 1, 0, 0], [0, 1, 2, 0]]])
+
+    def ev(m):
+        return m.evaluate(pts)
+
+    nodes = _fiber_nodes()
+    for name, node, drops in nodes:
+        want = [_ref_rank(node, x) for x in pts]
+        assert list(fiber_ranks(node, len(pts), ev, P)) == want, name
+        assert (len(set(want)) > 1) == drops, name
+        assert list(fiber_dims(node, len(pts), ev, P)) == [_ref_dim(node, x) for x in pts], name
+    # quotient rows of a line sum, a kernel, two quotients and their sum
+    whole = sum_node(LineSum.make(4, (1,)), *(node for _, node, _ in nodes[3:]))
+    for node in whole.parts + (whole,):
+        got = fiber_quot_rows(node, len(pts), ev)
+        assert all(np.array_equal(g, _ref_quot_rows(node, x)) for g, x in zip(got, pts))
+    assert list(fiber_dims(whole, len(pts), ev, P)) == [_ref_dim(whole, x) for x in pts]
