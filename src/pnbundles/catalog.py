@@ -172,7 +172,7 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
                 (want_rank, want_c), (cv.rank, cv.c))
     if expected.get("gg", "").startswith("generated"):
         # generated nodes must clear the numerical necessary conditions
-        bad = gg_constraints(cv, rank2_on_p3=(n == 3 and cv.rank == 2))
+        bad = gg_constraints(cv)
         rep.add("chern-inequalities", not bad, [], bad)
 
     window = entry.get("window")

@@ -10,6 +10,7 @@ binomial chi(O_{P^n}(m)) = C(m+n, n) extended to all integers m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 
@@ -133,9 +134,21 @@ def rr_chi(cv: ChernVector, l: int) -> int:
     chi(E(l)) = sum_i chi(O(l + x_i)) over the Chern roots x_i.  With
     (t+1)...(t+n) = sum_m a_m t^m and power sums p_j (p_0 = rank),
     n!·chi(E(l)) = sum_m a_m sum_{j<=m} C(m, j) l^(m-j) p_j.  Rank and
-    Chern data whose chi is not an integer at one of the twists l..l+n
-    (on P^3 an odd c3 - c1*c2, on P^4 a Schwarzenberger violation) belong
-    to no vector bundle and raise ValueError.
+    Chern data whose chi is not an integer at some twist (on P^3 an odd
+    c3 - c1*c2, on P^4 a Schwarzenberger violation) belong to no vector
+    bundle and raise ValueError.
+    """
+    coef, fact = _rr_polynomial(cv)
+    return sum(q * l ** k for k, q in enumerate(coef)) // fact
+
+
+@lru_cache(maxsize=256)
+def _rr_polynomial(cv: ChernVector) -> tuple[tuple, int]:
+    """(coefficients of n!·chi(E(t)) in t, n!), built once per vector.
+
+    A polynomial of degree n whose values at the n+1 integers t = 0..n
+    are multiples of n! has all its integer values multiples of n!, so
+    integrality is checked there once.
     """
     n = check_rr_dim(cv.n)
     c = cv.total
@@ -147,13 +160,11 @@ def rr_chi(cv: ChernVector, l: int) -> int:
     a = (1,)
     for k in range(1, n + 1):
         a = poly_mul(a, (k, 1), n)
-    # n!·chi(E(t)) as a polynomial in t, then its values at t = l..l+n
-    coef = [sum(a[m] * comb(m, k) * pw[m - k] for m in range(k, n + 1))
-            for k in range(n + 1)]
-    scaled = [sum(q * t ** k for k, q in enumerate(coef)) for t in range(l, l + n + 1)]
-    if any(v % a[0] for v in scaled):
+    coef = tuple(sum(a[m] * comb(m, k) * pw[m - k] for m in range(k, n + 1))
+                 for k in range(n + 1))
+    if any(sum(q * t ** k for k, q in enumerate(coef)) % a[0] for t in range(n + 1)):
         raise ValueError(f"non-integral chi for {cv}: no bundle has these Chern classes")
-    return scaled[0] // a[0]
+    return coef, a[0]
 
 
 def schwarzenberger_ok(cv: ChernVector) -> tuple[bool, int]:
@@ -197,7 +208,7 @@ def surface_bundle_data(s: SurfaceInvariants,
     return r, s.d, 2 * s.pi - 2, c4
 
 
-def gg_constraints(cv: ChernVector, rank2_on_p3: bool = False) -> list[str]:
+def gg_constraints(cv: ChernVector) -> list[str]:
     """Violated necessary conditions for global generation; empty when clean.
 
     Advisory only: reports c_i >= 0, c_2 <= c_1^2, the rank-2 bound
@@ -211,7 +222,7 @@ def gg_constraints(cv: ChernVector, rank2_on_p3: bool = False) -> list[str]:
     c1, c2, c3 = cv[1], cv[2], cv[3]
     if c2 > c1 * c1:
         out.append(f"c2 = {c2} > c1^2 = {c1 * c1}")
-    if rank2_on_p3 and cv.n == 3 and cv.rank == 2 and 2 * c2 > c1 * c1:
+    if cv.n == 3 and cv.rank == 2 and 2 * c2 > c1 * c1:
         out.append(f"rank-2 bound: 2*c2 = {2 * c2} > c1^2 = {c1 * c1}")
     if cv.n == 4 and c1 == 4 and 5 <= c2 <= 8 and c3 < 2 * c2 - 8:
         out.append(f"c3 = {c3} < 2*c2 - 8 = {2 * c2 - 8}")

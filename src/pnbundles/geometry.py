@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .binforms import binary_gcd_degree, valuations
+from .binforms import binary_gcd_degree
 from .forms import Form, monomial_values, normalize_point, random_points
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
@@ -63,32 +63,11 @@ class LineParam:
 class DegenerateRestriction(ValueError):
     """The defining matrix drops rank somewhere along the line."""
 
-    def __init__(self, msg, divisor=None):
-        super().__init__(msg)
-        self.divisor = divisor
-
 
 def restrict_to_line(m: GradedMatrix, line: LineParam) -> GradedMatrix:
     images = line.images()
     rows = [[f.substitute(images) for f in row] for row in m.entries]
     return GradedMatrix.make(2, m.src, m.tgt, rows, m.p)
-
-
-# -- binary-form gcd tools ----------------------------------------------------
-
-def binary_gcd(forms: list[Form], p: int) -> tuple[int, int]:
-    """(chart gcd degree, multiplicity of the common zero at (0:1)).
-
-    Common zeros of a family of binary forms over the algebraic closure
-    are exactly: the roots of the gcd on the chart u0 = 1, plus the point
-    (0:1) when every form misses its top u1-power.  Both numbers are 0
-    iff the family has empty common vanishing locus.
-    """
-    coeffs = [(f.coeff_vector(), f.degree) for f in forms if not f.is_zero()]
-    if not coeffs:
-        return -1, -1  # identically zero family
-    inf_mult = min(valuations(c, p)[1] for c, _ in coeffs)
-    return binary_gcd_degree(coeffs, p) - inf_mult, inf_mult
 
 
 # -- splitting types -----------------------------------------------------------
@@ -115,10 +94,11 @@ def splitting_type_on_line(node, line: LineParam) -> list[int]:
 
     m_l = restrict_to_line(node.matrix, line)
     need = rank_of(node.target)
-    gdeg, ginf = binary_gcd(m_l.minors(need), p)
-    if gdeg != 0 or ginf != 0:
-        raise DegenerateRestriction(
-            f"matrix drops below rank {need} along the line", (gdeg, ginf))
+    # the minors share a zero (or all vanish: degree -1) where the rank drops
+    minors = [(f.coeff_vector(), f.degree)
+              for f in m_l.minors(need) if not f.is_zero()]
+    if binary_gcd_degree(minors, p) != 0:
+        raise DegenerateRestriction(f"matrix drops below rank {need} along the line")
     r = rank_of(node)
     c1 = chern_of_node(node)[1]
     emax = max(node.matrix.src)

@@ -8,6 +8,11 @@ sum) and of H^n (a subquotient of the dual monomial model of the ambient
 top cohomology); long-exact-sequence splices then compute full tables
 with every connecting rank explicit.
 
+The engine keeps one record per (node, twist l), a `Strands`: the cells
+h^0..h^n of node(l), its H^0 model and its H^n model, or None for a
+model the chain cannot provide.  A record is computed once, from the
+records of the node's children, and never changed.
+
 Cells whose splice would require a model the chain cannot provide are
 reported as closed intervals, never guessed.
 """
@@ -239,12 +244,15 @@ class Presented:
             return zeros(0, self.ambient_dim)
         return self.quot
 
-    def dim(self, p: int) -> int:
-        q = self.quot_rows()
-        if self.space is None:
-            return self.ambient_dim - rank(q, p)
-        stack = np.concatenate([self.space, q]) if q.size else self.space
-        return rank(stack, p) - rank(q, p)
+
+@dataclass(frozen=True)
+class Strands:
+    """What the engine knows about one node(l): its cells h^0..h^n, and
+    its H^0 and H^n models for splices through it (None where the chain
+    provides no model)."""
+    cells: tuple
+    h0: Presented | None
+    hn: Presented | None
 
 
 def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarray]:
@@ -284,6 +292,16 @@ def block_rows(blocks, widths) -> np.ndarray:
         out[..., r:r + b.shape[-2], o:o + b.shape[-1]] = b
         r += b.shape[-2]
     return out
+
+
+def block_presented(parts) -> Presented | None:
+    """The direct sum of presented models, or None if a part has none."""
+    if any(q is None for q in parts):
+        return None
+    dims = [q.ambient_dim for q in parts]
+    quot = block_rows([q.quot_rows() for q in parts], dims)
+    return Presented(sum(dims), block_rows([q.space_rows() for q in parts], dims),
+                     quot if quot.size else None)
 
 
 # -- fibers at points ------------------------------------------------------------
@@ -398,9 +416,7 @@ class Cohomology:
 
     def __init__(self, p: int = DEFAULT_PRIME):
         self.p = check_prime(p)
-        self._values: dict = {}
-        self._h0: dict = {}
-        self._hn: dict = {}
+        self._strands: dict = {}   # (node, l) -> Strands
         self._sections: dict = {}
         self._cert: dict = {}
 
@@ -488,12 +504,17 @@ class Cohomology:
 
     # -- cell computation ------------------------------------------------------
 
-    def values(self, node, l: int) -> tuple:
+    def strands(self, node, l: int) -> Strands:
+        """The record of node(l), certified and computed once per key."""
         key = (node, l)
-        if key not in self._values:
+        rec = self._strands.get(key)
+        if rec is None:
             self.certify(node)
-            self._values[key] = self._compute_values(node, l)
-        return self._values[key]
+            rec = self._strands[key] = self._compute(node, l)
+        return rec
+
+    def values(self, node, l: int) -> tuple:
+        return self.strands(node, l).cells
 
     def h(self, node, i: int, l: int):
         n = nvars_of(node) - 1
@@ -502,152 +523,95 @@ class Cohomology:
         return self.values(node, l)[i]
 
     def h0_presented(self, node, l: int) -> Presented:
-        key = (node, l)
-        if key not in self._h0:
-            self.values(node, l)
-        ps = self._h0.get(key)
+        ps = self.strands(node, l).h0
         if ps is None:
             raise ValueError(f"no section model available for {type(node).__name__}")
         return ps
 
     def hn_presented(self, node, l: int) -> Presented | None:
-        key = (node, l)
-        if key not in self._hn:
-            self.values(node, l)
-        return self._hn.get(key)
+        return self.strands(node, l).hn
 
-    def _amb_dim0(self, node, l: int) -> int:
-        nv = nvars_of(node)
-        return sum(space_dim(nv, a + l) for a in ambient_twists(node))
-
-    def _amb_dimn(self, node, l: int) -> int:
+    def _compute(self, node, l: int) -> Strands:
         nv = nvars_of(node)
         n = nv - 1
-        return sum(space_dim(nv, -a - l - n - 1) for a in ambient_twists(node))
-
-    def _compute_values(self, node, l: int) -> tuple:
-        nv = nvars_of(node)
-        n = nv - 1
-        p = self.p
-        key = (node, l)
 
         if isinstance(node, LineSum):
             h0 = sum(space_dim(nv, a + l) for a in node.twists)
             hn = sum(space_dim(nv, -a - l - n - 1) for a in node.twists)
-            vals = [h0] + [0] * (n - 1) + [hn]
-            self._h0[key] = Presented(h0, None, None)
-            self._hn[key] = Presented(hn, None, None)
-            return tuple(vals)
+            return Strands((h0,) + (0,) * (n - 1) + (hn,),
+                           Presented(h0, None, None), Presented(hn, None, None))
 
         if isinstance(node, SumNode):
-            parts = [self.values(q, l) for q in node.parts]
-            vals = []
+            parts = [self.strands(q, l) for q in node.parts]
+            cells = []
             for i in range(n + 1):
-                lo, hi = map(sum, zip(*(cell_bounds(pv[i]) for pv in parts)))
-                vals.append(shift_cell(0, lo, hi))
-            self._h0[key] = self._block_presented(
-                [self._h0.get((q, l)) for q in node.parts],
-                [self._amb_dim0(q, l) for q in node.parts])
-            self._hn[key] = self._block_presented(
-                [self._hn.get((q, l)) for q in node.parts],
-                [self._amb_dimn(q, l) for q in node.parts])
-            return tuple(vals)
+                lo, hi = map(sum, zip(*(cell_bounds(q.cells[i]) for q in parts)))
+                cells.append(shift_cell(0, lo, hi))
+            return Strands(tuple(cells), block_presented([q.h0 for q in parts]),
+                           block_presented([q.hn for q in parts]))
 
         if isinstance(node, DualNode):
-            inner_vals = self.values(node.inner, -l - n - 1)
-            self._h0[key] = None
-            self._hn[key] = None
-            return tuple(reversed(inner_vals))
+            inner = self.strands(node.inner, -l - n - 1)
+            return Strands(tuple(reversed(inner.cells)), None, None)
 
         if isinstance(node, KerNode):
-            return self._values_kernel(node, l)
+            return self._kernel_strands(node, l)
         if isinstance(node, QuotNode):
-            return self._values_quotient(node, l)
+            return self._quotient_strands(node, l)
         raise TypeError(f"not a sheaf node: {node!r}")
 
-    @staticmethod
-    def _block_presented(parts, dims) -> Presented | None:
-        if any(q is None for q in parts):
-            return None
-        quot = block_rows([q.quot_rows() for q in parts], dims)
-        return Presented(sum(dims), block_rows([q.space_rows() for q in parts], dims),
-                         quot if quot.size else None)
-
-    def _values_kernel(self, node: KerNode, l: int) -> tuple:
+    def _kernel_strands(self, node: KerNode, l: int) -> Strands:
         p = self.p
         m = node.matrix
         nv = m.nvars
         n = nv - 1
-        key = (node, l)
-        tvals = self.values(node.target, l)
-        t0 = self.h0_presented(node.target, l)
-        tn = self.hn_presented(node.target, l)
+        tgt = self.strands(node.target, l)
+        tvals, tn = tgt.cells, tgt.hn
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
-        G = m.graded_piece(l)
-        rank0, ker0 = kernel_into(G, t0, p)
-        h0 = dim_a0 - rank0
-        self._h0[key] = Presented(dim_a0, ker0, None)
+        rank0, ker0 = kernel_into(m.graded_piece(l), tgt.h0, p)
+        h0 = Presented(dim_a0, ker0, None)
 
-        # h^1 = coker on the section strand
-        vals: list = [h0, shift_cell(tvals[0], -rank0)]
-        # middle range
-        for i in range(2, n):
-            vals.append(tvals[i - 1])
+        # h^1 = coker on the section strand; the middle range shifts down
+        cells = (dim_a0 - rank0, shift_cell(tvals[0], -rank0)) + tvals[1:n - 1]
         # top: h^n = h^{n-1}(target) + dim ker on the top strand
         T = hn_matrix(m, l)
         dim_an = T.shape[1]
-        if tn is not None:
-            rank_n, kern = kernel_into(T, tn, p)
-            vals.append(shift_cell(tvals[n - 1], dim_an - rank_n))
-            if tvals[n - 1] == 0:
-                self._hn[key] = Presented(dim_an, kern, None)
-            else:
-                self._hn[key] = None
-        else:
-            vals.append(shift_cell(tvals[n - 1], 0, dim_an))
-            self._hn[key] = None
-        return tuple(vals)
+        if tn is None:
+            return Strands(cells + (shift_cell(tvals[n - 1], 0, dim_an),), h0, None)
+        rank_n, kern = kernel_into(T, tn, p)
+        hn = Presented(dim_an, kern, None) if tvals[n - 1] == 0 else None
+        return Strands(cells + (shift_cell(tvals[n - 1], dim_an - rank_n),), h0, hn)
 
-    def _values_quotient(self, node: QuotNode, l: int) -> tuple:
+    def _quotient_strands(self, node: QuotNode, l: int) -> Strands:
         p = self.p
         m = node.matrix
         nv = m.nvars
         n = nv - 1
-        key = (node, l)
-        ivals = self.values(node.inner, l)
-        i0 = self.h0_presented(node.inner, l)
-        inn = self.hn_presented(node.inner, l)
+        inner = self.strands(node.inner, l)
+        ivals, i0, inn = inner.cells, inner.h0, inner.hn
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
         dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
-        G = m.graded_piece(l)
 
-        vals: list = [shift_cell(ivals[0], -dim_a0)]
-        # section model: coset representatives extending im(G) inside H^0(inner)
-        img = G.T
+        # section model: coset representatives extending the image of the
+        # degree-l piece of m inside H^0(inner)
+        img = m.graded_piece(l).T
         if i0.quot is not None and i0.quot.size:
             img = np.concatenate([img, i0.quot])
         reps = extend_to_complement(img, i0.space, p, ncols=i0.ambient_dim)
-        self._h0[key] = Presented(i0.ambient_dim, reps,
-                                  np.mod(img, p) if img.size else None)
+        h0 = Presented(i0.ambient_dim, reps, np.mod(img, p) if img.size else None)
 
-        for i in range(1, n - 1):
-            vals.append(ivals[i])
-
+        cells = (shift_cell(ivals[0], -dim_a0),) + ivals[1:n - 1]
+        if inn is None:
+            return Strands(cells + (shift_cell(ivals[n - 1], 0, dim_an),
+                                    shift_cell(ivals[n], -dim_an, 0)), h0, None)
         T = hn_matrix(m, l)
-        if inn is not None:
-            kerdim = dim_an - kernel_into(T, inn, p)[0]
-            vals += [shift_cell(ivals[n - 1], kerdim),
-                     shift_cell(ivals[n], kerdim - dim_an)]
-            new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
-            self._hn[key] = Presented(inn.ambient_dim, inn.space,
-                                      new_quot if new_quot.size else None)
-        else:
-            vals += [shift_cell(ivals[n - 1], 0, dim_an),
-                     shift_cell(ivals[n], -dim_an, 0)]
-            self._hn[key] = None
-        return tuple(vals)
+        kerdim = dim_an - kernel_into(T, inn, p)[0]
+        new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
+        hn = Presented(inn.ambient_dim, inn.space, new_quot if new_quot.size else None)
+        return Strands(cells + (shift_cell(ivals[n - 1], kerdim),
+                                shift_cell(ivals[n], kerdim - dim_an)), h0, hn)
 
     # -- public operations -----------------------------------------------------
 

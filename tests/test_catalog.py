@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pnbundles import chern
 from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                parse_node, serialize_catalog, verify_all,
                                verify_entry)
@@ -35,6 +36,16 @@ def test_shipped_catalog_verifies_at_other_primes(catalog, prime):
     rep = verify_all(catalog, prime=prime)
     assert rep.prime == prime and len(rep.entries) == 39
     assert rep.ok, [(e.entry_id, e.error) for e in rep.entries if not e.ok]
+
+
+def test_verify_entry_builds_rr_polynomial_once(catalog):
+    entry = next(e for e in catalog["entries"] if e["id"] == "p3-mixed-kernel")
+    chern._rr_polynomial.cache_clear()
+    rep = verify_entry(entry, Cohomology(catalog["prime"]), 100, 1)
+    assert rep.ok, rep.error
+    info = chern._rr_polynomial.cache_info()
+    # one build, then one cache hit per further exact column of the table
+    assert info.misses == 1 and info.hits >= 5
 
 
 def test_catalog_covers_required_constructions(catalog):

@@ -186,7 +186,7 @@ def test_surface_invariants_validation():
 
 
 def test_gg_constraints():
-    v = gg_constraints(ChernVector.make(3, 2, (4, 9, 0)), rank2_on_p3=True)
+    v = gg_constraints(ChernVector.make(3, 2, (4, 9, 0)))
     assert any("rank-2" in s for s in v)
     v = gg_constraints(ChernVector.make(4, 4, (4, 5, 0, 0)))
     assert any("2*c2 - 8" in s for s in v)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pnbundles.forms import Form, normalize_point, random_points
-from pnbundles.geometry import (LineParam,
+from pnbundles.geometry import (DegenerateRestriction, LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
                                 edge_avoidance, gg_of_raw_kernel,
                                 is_globally_generated,
@@ -75,8 +75,14 @@ def test_degenerate_restriction_reported():
     m = ker_node(GradedMatrix.make(4, (0, 0, 0, 0), (1, 1),
                                    [[X[0], X[1], X[2], "0"],
                                     ["0", X[0], X[1], X[2]]]))
-    with pytest.raises(Exception):
+    with pytest.raises(DegenerateRestriction, match="drops below rank 2 along the line"):
         splitting_type_on_line(m, LineParam.make((0, 0, 0, 1), (1, 0, 0, 0)))
+    # on the line x0 = x1 = 0 every entry, so every minor, vanishes
+    z = ker_node(GradedMatrix.make(4, (0, 0, 0, 0), (1, 1),
+                                   [[X[0], X[1], "0", "0"],
+                                    ["0", X[0], X[1], "0"]]))
+    with pytest.raises(DegenerateRestriction, match="drops below rank 2 along the line"):
+        splitting_type_on_line(z, LineParam.make((0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def test_gg_positive_and_negative(eng):

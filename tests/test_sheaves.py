@@ -8,10 +8,10 @@ from pnbundles.graded import GradedMatrix
 from pnbundles.modp import rank
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
                                KerNode, LineSum, Presented, QuotNode, SumNode,
-                               chern_of_node, default_window, fiber_dims,
-                               fiber_quot_rows, fiber_ranks, is_exact_cell,
-                               ker_node, kernel_into, quot_node, rank_of,
-                               serre_flip, sum_node, twist_node)
+                               block_rows, chern_of_node, default_window,
+                               fiber_dims, fiber_quot_rows, fiber_ranks,
+                               is_exact_cell, ker_node, kernel_into, quot_node,
+                               rank_of, serre_flip, sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -101,6 +101,33 @@ def test_sum_node_adds(eng):
     assert rank_of(s) == 4
     assert eng.h(s, 0, 0) == 4 + 14
     assert chern_of_node(s).rank == 4
+
+
+def test_sum_with_dual_part_has_cells_but_no_models(eng):
+    # a dual carries no section model, so neither does a sum containing one
+    s = sum_node(LineSum.make(4, (1,)), DualNode(mixed_kernel()))
+    for l in range(-6, 3):
+        parts = [eng.values(q, l) for q in s.parts]
+        assert eng.values(s, l) == tuple(a + b for a, b in zip(*parts))
+        with pytest.raises(ValueError, match="no section model available for SumNode"):
+            eng.h0_presented(s, l)
+        assert eng.hn_presented(s, l) is None
+
+
+def test_sum_of_kernel_and_quotient_models_are_blocks(eng):
+    k, q = mixed_kernel(), nullcorrelation_twist()
+    s = sum_node(k, q)
+    for l in (-6, 0, 1):
+        assert eng.strands(s, l) is eng.strands(s, l)
+        for model in (eng.h0_presented, eng.hn_presented):
+            parts = [model(k, l), model(q, l)]
+            widths = [m.ambient_dim for m in parts]
+            got = model(s, l)
+            assert got.ambient_dim == sum(widths)
+            assert np.array_equal(got.space_rows(),
+                                  block_rows([m.space_rows() for m in parts], widths))
+            assert np.array_equal(got.quot_rows(),
+                                  block_rows([m.quot_rows() for m in parts], widths))
 
 
 def test_dual_node_serre_flip(eng):
