@@ -396,6 +396,20 @@ def normalize_point(coords, p: int = DEFAULT_PRIME) -> tuple[int, ...]:
     return tuple(c * s % p for c in vec)
 
 
+def normalize_points(pts, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """`normalize_point` on every row of an (npts, nvars) integer array at
+    once: an int64 array of the rows reduced mod p and scaled so that each
+    last nonzero entry is 1."""
+    pts = np.mod(np.asarray(pts, dtype=np.int64), p)
+    nz = pts != 0
+    last = pts.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    if not nz.any(axis=1).all():
+        raise ValueError("projective point needs a nonzero coordinate")
+    inv = _pow_mod_array(pts[np.arange(pts.shape[0]), last], p - 2, p)
+    pts *= inv[:, None]
+    return _reduce(pts, p)
+
+
 def random_points(nvars: int, count: int, seed: int,
                   p: int = DEFAULT_PRIME) -> list[tuple[int, ...]]:
     """Deterministic sample of projective points, uniform over P^{nvars-1}(F_p)."""
@@ -404,9 +418,4 @@ def random_points(nvars: int, count: int, seed: int,
     while pts.shape[0] < count:
         block = rng.integers(0, p, size=(count, nvars))
         pts = np.concatenate([pts, block[block.any(axis=1)]])
-    pts = pts[:count]
-    # scale each row so that its last nonzero entry is 1, as normalize_point
-    last = nvars - 1 - np.argmax(pts[:, ::-1] != 0, axis=1)
-    inv = _pow_mod_array(pts[np.arange(pts.shape[0]), last], p - 2, p)
-    pts = pts * inv[:, None] % p
-    return [tuple(r) for r in pts.tolist()]
+    return [tuple(r) for r in normalize_points(pts[:count], p).tolist()]

@@ -16,11 +16,11 @@ from itertools import combinations, product
 import numpy as np
 
 from .binforms import binary_gcd_degree
-from .forms import Form, monomial_values, normalize_point, random_points
+from .forms import (Form, monomial_values, normalize_point, normalize_points,
+                    random_points)
 from .graded import GradedMatrix
 from .idealtests import epi_certificate  # re-exported: certificate lives here
-from .modp import (DEFAULT_PRIME, batched_rank, check_prime, kernel_basis,
-                   rank, relative_rank)
+from .modp import DEFAULT_PRIME, check_prime, kernel_basis, rank, relative_rank
 from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
                       fiber_dims, fiber_quot_rows, first_failure, ker_node,
                       nvars_of, prime_of, rank_of)
@@ -186,9 +186,10 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
                              witness_line=line, witness_splitting=st)
 
     secs = eng.h0_basis(node, 0)
-    hints = [normalize_point(q, p) for q in hint_points]
-    pts = np.array(hints + random_points(nv, trials, seed, p),
-                   dtype=np.int64).reshape(-1, nv)
+    hints = np.array(hint_points, dtype=np.int64).reshape(len(hint_points), nv)
+    pts = np.concatenate([normalize_points(hints, p),
+                          np.array(random_points(nv, trials, seed, p),
+                                   dtype=np.int64).reshape(-1, nv)])
     return _sampled_verdict(node, secs, r, pts, trials, seed, p)
 
 
@@ -231,19 +232,15 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     """Degree-d Cayley-Bacharach test for distinct points in P^2.
 
     True iff for every point z the degree-d forms vanishing on all the
-    other points already vanish at z (kernel dimensions compared).
+    other points already vanish at z, that is, iff the value row of z is
+    in the span of the others: iff some vector of the left kernel of the
+    value matrix is nonzero at z.
     """
-    pts = [normalize_point(q, p) for q in points]
-    if len(set(pts)) != len(pts):
+    arr = normalize_points(np.array(points, dtype=np.int64), p)
+    if len(set(map(tuple, arr.tolist()))) != len(arr):
         raise ValueError("points must be distinct")
-    arr = np.array(pts, dtype=np.int64)
     ev = monomial_values(3, d, arr, p)  # k x dim S_d
-    # ev, then ev with row z zeroed for each z (same rank as deleting it)
-    k = len(pts)
-    stack = np.repeat(ev[None], k + 1, axis=0)
-    stack[np.arange(1, k + 1), np.arange(k)] = 0
-    ranks = batched_rank(stack, p)
-    return bool((ranks[1:] == ranks[0]).all())
+    return bool((kernel_basis(ev.T, p) != 0).any(axis=0).all())
 
 
 def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:
@@ -256,9 +253,7 @@ def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:
     pts = [normalize_point(x, q) for x in points]
     arr = np.array(pts, dtype=np.int64)
     ev = monomial_values(3, d, arr, q)   # k x m
-    m = ev.shape[1]
-    coeffs = np.array(list(product(range(q), repeat=m)), dtype=np.int64)
-    vals = coeffs @ ev.T % q              # q^m x k
+    vals = _all_forms(q, ev.shape[1]) @ ev.T % q  # q^m x k
     nonzero = vals != 0
     through_all = ~nonzero.any(axis=1)
     for z in range(len(pts)):
@@ -267,6 +262,15 @@ def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:
         if through_rest.sum() != through_all.sum():
             return False
     return True
+
+
+@lru_cache(maxsize=8)
+def _all_forms(q: int, m: int) -> np.ndarray:
+    """Every coefficient vector of length m over F_q, one per row
+    (read-only: it is shared by the oracle's calls)."""
+    coeffs = np.array(list(product(range(q), repeat=m)), dtype=np.int64)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 # -- incidence tests --------------------------------------------------------------

@@ -9,13 +9,17 @@ The default field is F_32003; p must be an odd prime of at most MAX_PRIME
 with Python ints and are exact for any p.  The dense stage of `rref` and
 `batched_rank` need p**2 < 2**63: `batched_rank` never inverts, and
 updates each row as piv * row - f * pivot_row with piv, f and the entries
-in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  A sum
-of products of residues is reduced every MAX_TERMS terms (`matmul_mod`),
-and MAX_TERMS * (p-1)**2 + p < 2**63 sets MAX_PRIME.  Its callers are
-`GradedMatrix.evaluate` (monomial values times coefficient vectors,
-section matrices included) and `batched_rank`, whose product clears the
-pivot columns of the rows shared by the whole stack from the other rows
-of every matrix (one term per shared pivot).
+in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  Its
+elimination therefore runs in the smallest word that holds them: int32
+when (p-1)**2 < 2**31 (p <= 46337, which covers F_5 and F_32003), int64
+above.  It works on one (n, m, N) copy of an (N, m, n) stack, the batch
+innermost, so every step is a reduction or an update across the
+contiguous batch.  A sum of products of residues is reduced every
+MAX_TERMS terms (`matmul_mod`), and MAX_TERMS * (p-1)**2 + p < 2**63 sets
+MAX_PRIME.  Its callers are `GradedMatrix.evaluate` (monomial values
+times coefficient vectors, section matrices included) and `batched_rank`,
+whose product clears the pivot columns of the rows shared by the whole
+stack from the other rows of every matrix (one term per shared pivot).
 """
 
 from __future__ import annotations
@@ -345,36 +349,45 @@ def _shared_rows(a: np.ndarray) -> np.ndarray:
 
 def _batched_rank(a: np.ndarray, p: int) -> np.ndarray:
     """The elimination of `batched_rank` on every matrix of an int64
-    stack, entries of any size; a is not modified."""
+    stack, entries of any size; a is not modified.  It runs on one copy
+    in the (n, m, N) layout and the word of the module docstring, and
+    takes as pivot the first candidate row, by a max over weighted rows."""
     if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1)  # rank(A) = rank(A^T)
     nbatch, m, n = a.shape
-    # column-major copy: column c of every matrix is the contiguous cols[c]
-    cols = _reduce(a.transpose(2, 0, 1).copy(), p)
-    used = np.zeros((nbatch, m), dtype=bool)
-    entries = np.arange(nbatch)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = np.mod(a, p)
+    # column c of every matrix is cols[c], an (m, N) block; int32 holds
+    # the intermediates, within [-(p-1)**2, (p-1)**2], iff (p-1)**2 < 2**31
+    word = np.int32 if (p - 1) ** 2 < 2**31 else np.int64
+    cols = a.transpose(2, 1, 0).astype(word, order="C")
+    # the first candidate row of a column weighs most: it is the pivot
+    weights = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+    used = np.zeros((m, nbatch), dtype=bool)
     for c in range(n):
         col = cols[c]
-        cand = (col != 0) & ~used
-        prow_idx = cand.argmax(axis=1)
-        has = cand[entries, prow_idx]
-        used[entries, prow_idx] |= has
+        cand = ((col != 0) & ~used) * weights
+        best = cand.max(axis=0)
+        has = best != 0
+        sel = (cand == best) & has  # one-hot in each matrix with a pivot
+        used |= sel
         if c + 1 == n or not has.any():
             continue
         # row_i <- piv * row_i - f_i * pivot_row on the trailing columns,
         # with f_i = 0 on pivot rows (and piv = 1 where there is no pivot)
-        piv = np.where(has, col[entries, prow_idx], 1)
+        piv = (col * sel).sum(axis=0, dtype=col.dtype)
+        piv += ~has
         f = np.where(used, 0, col)
         rest = cols[c + 1:]
-        prow = rest[:, entries, prow_idx]
-        rest *= piv[:, None]
-        rest -= prow[:, :, None] * f
+        prow = (rest * sel).sum(axis=1, dtype=rest.dtype)
+        rest *= piv
+        rest -= prow[:, None, :] * f
         _reduce(rest, p)
-    return used.sum(axis=1)
+    return used.sum(axis=0)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for an int64 array; returns x.
+    """x mod p in place, for a signed integer array; returns x.
 
     Equal to np.mod(x, p), but numpy divides by a scalar through a
     precomputed reciprocal, which is several times faster than `%`.

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pnbundles.forms import (Form, format_form, monomial_basis,
                              monomial_values, multiplication_matrix,
-                             normalize_point, parse_form, random_points,
-                             space_dim)
+                             normalize_point, normalize_points, parse_form,
+                             random_points, space_dim)
 from pnbundles.modp import MAX_PRIME
 
 P = 32003
@@ -116,6 +116,22 @@ def test_normalize_point():
     assert normalize_point((0, 4, 2), 5) == (0, 2, 1)
     with pytest.raises(ValueError):
         normalize_point((0, 0, 0), 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, P, MAX_PRIME])
+def test_normalize_points_matches_normalize_point(p):
+    # every last-nonzero position, zero coordinates, entries outside [0, p)
+    rng = np.random.default_rng(p)
+    pts = rng.integers(-2 * p, 2 * p, size=(400, 4))
+    pts[rng.random(pts.shape) < 0.4] = 0
+    pts[np.arange(4) * 7, :] = np.eye(4, dtype=np.int64) * (p - 1)
+    pts = pts[(pts % p).any(axis=1)]
+    got = normalize_points(pts, p)
+    assert got.dtype == np.int64
+    assert [tuple(r) for r in got.tolist()] == [normalize_point(r, p) for r in pts]
+    assert normalize_points(np.zeros((0, 3), dtype=np.int64), p).shape == (0, 3)
+    with pytest.raises(ValueError):
+        normalize_points([(1, 2, 3), (0, p, 0)], p)
 
 
 def test_random_points_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnbundles.forms import Form, normalize_point, random_points
+from pnbundles.forms import Form, monomial_values, normalize_point, random_points
 from pnbundles.geometry import (DegenerateRestriction, LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
                                 edge_avoidance, gg_of_raw_kernel,
@@ -9,6 +9,7 @@ from pnbundles.geometry import (DegenerateRestriction, LineParam,
                                 quadric_line_component_test, reverify_witness,
                                 splitting_type_on_line)
 from pnbundles.graded import GradedMatrix
+from pnbundles.modp import rank
 from pnbundles.sheaves import (Cohomology, LineSum, ker_node, quot_node,
                                rank_of, sum_node)
 
@@ -165,6 +166,29 @@ def test_cayley_bacharach_oracle_agreement_sampled():
         idx = rng.choice(31, size=k, replace=False)
         pts = [all_pts[i] for i in idx]
         assert cayley_bacharach(pts, 1, p=5) == cayley_bacharach_oracle(pts, 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, P])
+def test_cayley_bacharach_matches_row_deletion_ranks(p):
+    # the definition: deleting any one point's value row keeps the rank
+    rng = np.random.default_rng(p)
+    for d in (1, 2, 3):
+        for _ in range(25):
+            k = int(rng.integers(1, 11))
+            if rng.random() < 0.5:  # points on a line: CB fails or holds
+                pts = rng.integers(0, p, size=(k, 2)) @ rng.integers(0, p, size=(2, 3))
+            else:
+                pts = rng.integers(0, p, size=(k, 3))
+            pts = [tuple(q) for q in pts % p if q.any()]
+            pts = list(dict.fromkeys(normalize_point(q, p) for q in pts))
+            if not pts:
+                continue
+            ev = monomial_values(3, d, np.array(pts), p)
+            want = all(rank(np.delete(ev, z, axis=0), p) == rank(ev, p)
+                       for z in range(len(pts)))
+            # any nonzero multiple of each point, entries outside [0, p)
+            scaled = np.array(pts) * rng.integers(1, p, size=(len(pts), 1)) - p
+            assert cayley_bacharach(scaled.tolist(), d, p) == want, (pts, d)
 
 
 def test_edge_avoidance():

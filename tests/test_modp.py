@@ -356,15 +356,23 @@ def _shared_blocks(rng, m, n, p):
                + np.triu(rng.integers(0, p, size=(n, n)), 1))
 
 
-@pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME])
+# 46337 is the largest prime with (p-1)**2 < 2**31, where the kernel of
+# batched_rank computes in int32; from 46349, the next prime, in int64
+WORD_PRIMES = [46337, 46349, MAX_PRIME]
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME] + WORD_PRIMES)
 @pytest.mark.parametrize("nbatch,m,n", BATCH_SHAPES)
 def test_batched_rank_matches_reference(p, nbatch, m, n):
     rng = np.random.default_rng([p, nbatch, m, n])
-    # all-zero, rank-deficient, then random entries outside [0, p)
-    stack = np.zeros((3 * nbatch, m, n), dtype=np.int64)
+    # all-zero, rank-deficient, random entries outside [0, p), every
+    # entry p - 1, then entries 1 and p - 1: the largest products
+    stack = np.zeros((5 * nbatch, m, n), dtype=np.int64)
     for i in range(nbatch, 2 * nbatch):
         stack[i] = _rank_deficient(rng, m, n, p)
-    stack[2 * nbatch:] = rng.integers(-p * p, p * p, size=(nbatch, m, n))
+    stack[2 * nbatch:3 * nbatch] = rng.integers(-p * p, p * p, size=(nbatch, m, n))
+    stack[3 * nbatch:4 * nbatch] = p - 1
+    stack[4 * nbatch:] = rng.choice([1, p - 1], size=(nbatch, m, n))
     want = _check_batched_rank(stack, p)
     before = stack.copy()
     # a sliced sub-stack of a shared array: ranks of the slice, array intact
@@ -389,6 +397,37 @@ def test_batched_rank_matches_reference(p, nbatch, m, n):
         a = rng.integers(0, p, size=(m, n))
         ranks = batched_rank(np.broadcast_to(a, (5, m, n)), p)
         assert ranks.tolist() == [len(_ref_rref(a.tolist(), n, p)[1])] * 5
+
+
+@pytest.mark.parametrize("p", [5, DEFAULT_PRIME] + WORD_PRIMES)
+def test_batched_rank_kernel_word_and_layout(monkeypatch, p):
+    # the kernel reduces C-contiguous (columns, rows, batch) blocks of
+    # int32 while (p-1)**2 < 2**31, of int64 above
+    rng = np.random.default_rng(p)
+    stack = rng.integers(-p, 2 * p, size=(9, 4, 6))
+    seen = []
+    reduce = modp._reduce
+
+    def spy(x, q):
+        seen.append((x.dtype, x.flags.c_contiguous, x.shape[1:]))
+        return reduce(x, q)
+
+    monkeypatch.setattr(modp, "_reduce", spy)
+    ranks = modp._batched_rank(stack, p)
+    word = np.dtype(np.int32 if p <= 46337 else np.int64)
+    assert seen and set(seen) == {(word, True, (6, 9))}
+    assert ranks.tolist() == [len(_ref_rref(a.tolist(), 6, p)[1]) for a in stack]
+
+
+def test_batched_rank_kernel_many_rows():
+    # more than 255 rows: each row its own pivot weight; one nonzero row
+    # per matrix, then two equal nonzero rows 256 apart
+    m = 300
+    stack = np.zeros((m + m - 256, m, 2), dtype=np.int64)
+    stack[np.arange(m), np.arange(m), 0] = 1
+    pairs = np.arange(m - 256)
+    stack[m + pairs, pairs] = stack[m + pairs, pairs + 256] = (3, 4)
+    assert modp._batched_rank(stack, P).tolist() == [1] * len(stack)
 
 
 def test_batched_rank_eliminates_only_the_residual(monkeypatch):
