@@ -245,18 +245,62 @@ def multiplication_matrix(f: Form, d_src: int) -> np.ndarray:
     Rows are indexed by the target monomial basis, columns by the source
     basis, both in the fixed graded reverse-lex order.
     """
-    nv, p = f.nvars, f.p
-    d_tgt = d_src + f.degree
-    src = monomial_basis(nv, d_src)
-    tgt_idx = monomial_index(nv, d_tgt)
-    mat = np.zeros((len(tgt_idx), len(src)), dtype=np.int64)
-    if d_src < 0 or f.is_zero():
-        return mat
-    for j, m in enumerate(src):
-        for e, c in f.terms:
-            key = tuple(a + b for a, b in zip(e, m))
-            mat[tgt_idx[key], j] = c
+    mat = np.zeros((space_dim(f.nvars, d_src + f.degree), space_dim(f.nvars, d_src)),
+                   dtype=np.int64)
+    rows, coeffs = product_rows(f, d_src)
+    mat[rows, np.arange(mat.shape[1])] = coeffs[:, None]
     return mat
+
+
+def product_rows(f: Form, d_src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of multiplication_matrix(f, d_src): the k-th
+    term of f (coefficient coeffs[k]) times the j-th source monomial is
+    the target monomial rows[k, j].  No two terms share a target in one
+    column, so a scatter of coeffs[k] into rows[k] fills the matrix."""
+    if d_src < 0 or f.is_zero():
+        return np.zeros((0, space_dim(f.nvars, d_src)), dtype=np.intp), np.zeros(0, np.int64)
+    index = monomial_index(f.nvars, f.degree)
+    terms = [index[e] for e, _ in f.terms]
+    coeffs = np.array([c for _, c in f.terms], dtype=np.int64)
+    return _product_index(f.nvars, f.degree, d_src)[terms], coeffs
+
+
+@lru_cache(maxsize=4096)
+def _product_index(nvars: int, d1: int, d2: int) -> np.ndarray:
+    """Index in monomial_basis(nvars, d1 + d2) of the product of the i-th
+    degree-d1 and the j-th degree-d2 monomial, an (dim S_d1, dim S_d2)
+    array (read-only: it is shared by every caller)."""
+    # prefix[..., k] = e_0 + ... + e_k, additive over a product
+    prefix = (_exponents(nvars, d1).cumsum(axis=1)[:, None, :]
+              + _exponents(nvars, d2).cumsum(axis=1)[None, :, :])
+    out = _basis_rank(prefix, d1 + d2)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _exponents(nvars: int, d: int) -> np.ndarray:
+    """monomial_basis(nvars, d) as a (dim S_d, nvars) int64 array."""
+    basis = monomial_basis(nvars, d)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), nvars)
+
+
+def _basis_rank(prefix: np.ndarray, d: int) -> np.ndarray:
+    """Position in monomial_basis(nvars, d) of the exponent vectors whose
+    prefix sums are prefix[..., :] (last axis nvars, every total d).
+
+    The basis ascends in (e_{n-1}, ..., e_0).  The monomials before e are,
+    for each k >= 1, those equal to e above k and smaller at k; with
+    r_k = e_0 + ... + e_k there are sum over v < e_k of
+    C(r_k - v + k - 1, k - 1) = C(r_k + k, k) - C(r_{k-1} + k, k) of them.
+    Every such count is at most dim S_d, so int64 holds it for any nvars.
+    """
+    nvars = prefix.shape[-1]
+    k = np.arange(1, nvars)
+    binom = np.array([[comb(x, j) for j in range(nvars)] for x in range(d + nvars)],
+                     dtype=np.int64)
+    return (binom[prefix[..., 1:] + k, k] - binom[prefix[..., :-1] + k, k]).sum(
+        axis=-1, dtype=np.intp)
 
 
 # -- parsing / printing ------------------------------------------------------

@@ -236,7 +236,12 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     in the span of the others: iff some vector of the left kernel of the
     value matrix is nonzero at z.
     """
-    arr = normalize_points(np.array(points, dtype=np.int64), p)
+    arr = np.array(points, dtype=np.int64)
+    if len(arr) == 0:
+        raise ValueError("need at least one point")
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("points of P^2 need exactly 3 coordinates")
+    arr = normalize_points(arr, p)
     if len(set(map(tuple, arr.tolist()))) != len(arr):
         raise ValueError("points must be distinct")
     ev = monomial_values(3, d, arr, p)  # k x dim S_d

@@ -13,12 +13,11 @@ sections, H^0(⊕O(src+l)) → H^0(⊕O(tgt+l)), in the fixed monomial order of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .forms import (Form, monomial_values, multiplication_matrix, parse_form,
-                    space_dim)
+from .forms import Form, monomial_values, parse_form, product_rows, space_dim
 from .modp import DEFAULT_PRIME, check_prime, matmul_mod
 
 
@@ -128,22 +127,18 @@ class GradedMatrix:
                             self.entries + other.entries, self.p)
 
     def graded_piece(self, l: int) -> np.ndarray:
-        """Linear map on degree-l sections, target-rows x source-columns."""
+        """Linear map on degree-l sections, target-rows x source-columns,
+        scattered block by block from `product_rows`."""
         nv = self.nvars
-        row_dims = [space_dim(nv, b + l) for b in self.tgt]
-        col_dims = [space_dim(nv, a + l) for a in self.src]
-        mat = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
-        r0 = 0
-        for i, rd in enumerate(row_dims):
-            c0 = 0
-            for j, cd in enumerate(col_dims):
-                if rd and cd:
-                    f = self.entries[i][j]
-                    if not f.is_zero():
-                        mat[r0:r0 + rd, c0:c0 + cd] = multiplication_matrix(
-                            f, self.src[j] + l)
-                c0 += cd
-            r0 += rd
+        row_offs = list(accumulate((space_dim(nv, b + l) for b in self.tgt), initial=0))
+        col_offs = list(accumulate((space_dim(nv, a + l) for a in self.src), initial=0))
+        mat = np.zeros((row_offs[-1], col_offs[-1]), dtype=np.int64)
+        for i, row in enumerate(self.entries):
+            for j, f in enumerate(row):
+                if f.terms and col_offs[j + 1] > col_offs[j]:
+                    rows, coeffs = product_rows(f, self.src[j] + l)
+                    mat[row_offs[i] + rows,
+                        np.arange(col_offs[j], col_offs[j + 1])] = coeffs[:, None]
         return mat
 
     def evaluate(self, pts) -> np.ndarray:

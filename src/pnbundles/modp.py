@@ -4,6 +4,14 @@ Matrices are numpy int64 arrays with entries reduced into [0, p).  A
 reduced row echelon form is unique, and kernel bases and complements are
 read off it, so results never depend on anything but the input.
 
+There is one elimination, `_eliminate`: Gauss-Jordan on sparse rows
+(`_SparseRows`), handed to a dense int64 loop once the input or its
+fill-in reaches DENSE_FILL.  An input that finishes sparse is made dense
+only by the callers that need its whole echelon form: `rref`, `solve` and
+the shared rows of `batched_rank`.  `rank` and `extend_to_complement`
+(full space) read its pivot columns, and `kernel_basis` fills its basis
+from the sparse pivot rows.
+
 The default field is F_32003; p must be an odd prime of at most MAX_PRIME
 (< 2**25).  The sparse stage of `rref` and `extend_to_complement` compute
 with Python ints and are exact for any p.  The dense stage of `rref` and
@@ -88,6 +96,22 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivot_cols).  Pivot entries are normalized to 1 and are
     the only nonzero entries in their columns.
 
+    R is the dense form of `_eliminate`'s result.  It is built only where
+    a caller needs all of it: here, in `solve`, and for the shared rows of
+    `batched_rank`.  `rank`, `kernel_basis` and `extend_to_complement`
+    (full space) use `_eliminate` directly and never densify an input
+    that finishes on the sparse stage.
+    """
+    out = _eliminate(mat, p)
+    if isinstance(out, _SparseRows):
+        return out.dense(), list(out.pivot)
+    return out
+
+
+def _eliminate(mat: np.ndarray, p: int) -> _SparseRows | tuple[np.ndarray, list[int]]:
+    """The elimination behind `rref`: the finished `_SparseRows` when every
+    column was done on the sparse stage, else the dense (R, pivots).
+
     A sparse input is first eliminated on `_SparseRows`, pivoting each
     column on the unused row with the fewest nonzeros; once fill-in makes
     the unused rows DENSE_FILL dense (or the input is), `_dense_rref`
@@ -109,7 +133,14 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         unused -= 1
         if nnz >= DENSE_FILL * unused * (ncols - c - 1) > 0:
             return _dense_rref(s.dense(), p, c + 1, list(s.pivot))
-    return s.dense(), list(s.pivot)
+    return s
+
+
+def _pivots(mat: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of rref(mat, p), without densifying a sparse
+    elimination."""
+    out = _eliminate(mat, p)
+    return list(out.pivot) if isinstance(out, _SparseRows) else out[1]
 
 
 def _dense_rref(r: np.ndarray, p: int, col: int,
@@ -153,10 +184,12 @@ class _SparseRows:
         self.used: set[int] = set()
         self.rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
         self.cols: list[set[int]] = [set() for _ in range(a.shape[1])]
-        i, j = np.nonzero(a)
-        v = a[i, j] % p
+        flat = a.ravel()
+        at = np.flatnonzero(flat)  # faster than np.nonzero(a)
+        v = flat[at] % p
         nz = v != 0
-        for t, k, x in zip(i[nz].tolist(), j[nz].tolist(), v[nz].tolist()):
+        i, j = np.divmod(at[nz], a.shape[1])
+        for t, k, x in zip(i.tolist(), j.tolist(), v[nz].tolist()):
             self.rows[t][k] = x
             self.cols[k].add(t)
 
@@ -200,11 +233,29 @@ class _SparseRows:
             chain.from_iterable(x.values() for x in rows))
         return out
 
+    def kernel_basis(self) -> np.ndarray:
+        """`kernel_basis` of a finished elimination, straight from the pivot
+        rows.  The row of pivot column c is 1 at c and zero at the other
+        pivot columns; where it holds v at a free column f, the basis
+        vector of f holds -v at c."""
+        pivots = list(self.pivot)
+        basis, free = _free_unit_rows(pivots, len(self.cols))
+        at = np.zeros(len(self.cols), dtype=np.intp)  # free column -> its vector
+        at[free] = np.arange(free.size)
+        rows = [self.rows[t] for t in self.pivot.values()]
+        n = sum(map(len, rows))
+        col = np.fromiter(chain.from_iterable(rows), np.intp, n)
+        val = np.fromiter(chain.from_iterable(x.values() for x in rows), np.int64, n)
+        piv = np.repeat(np.array(pivots, dtype=np.intp), [len(x) for x in rows])
+        off = col != piv
+        basis[at[col[off]], piv[off]] = -val[off] % self.p
+        return basis
+
 
 def rank(mat: np.ndarray, p: int) -> int:
     if mat.size == 0:
         return 0
-    return len(rref(mat, p)[1])
+    return len(_pivots(mat, p))
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
@@ -219,7 +270,10 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
         return zeros(0, 0)
     if nrows == 0:
         return np.eye(ncols, dtype=np.int64)
-    r, pivots = rref(mat, p)
+    out = _eliminate(mat, p)
+    if isinstance(out, _SparseRows):
+        return out.kernel_basis()
+    r, pivots = out
     basis, free = _free_unit_rows(pivots, ncols)
     basis[:, pivots] = (-r[:len(pivots)][:, free].T) % p
     return basis
@@ -272,8 +326,7 @@ def extend_to_complement(image_rows: np.ndarray, space_rows: np.ndarray | None,
             raise ValueError("need the ambient dimension for a full space")
         if image_rows.size == 0:
             return np.eye(ncols, dtype=np.int64)
-        _, piv = rref(image_rows, p)
-        return _free_unit_rows(piv, ncols)[0]
+        return _free_unit_rows(_pivots(image_rows, p), ncols)[0]
     space = np.asarray(space_rows, dtype=np.int64)
     img = np.asarray(image_rows, dtype=np.int64).reshape(len(image_rows), space.shape[1])
     s = _SparseRows(np.concatenate([img, space]), p)

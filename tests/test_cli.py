@@ -153,6 +153,16 @@ def test_cb_and_edges_commands(tmp_path, capsys):
     assert "avoids_edges" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("points", [[], [[1, 0], [0, 1]],
+                                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]],
+                         ids=["empty", "two-coordinates", "four-coordinates"])
+def test_cb_rejects_points_not_in_p2(tmp_path, capsys, points):
+    pts = write(tmp_path, "pts.json", {"points": points})
+    assert main(["cb", "--points", pts, "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
 def test_beilinson_command(tmp_path, capsys):
     cells = [[i, l, 0] for i in range(4) for l in range(-4, 2)]
     table = {"n": 3, "cells": cells}

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pnbundles.forms import (Form, format_form, monomial_basis,
-                             monomial_values, multiplication_matrix,
-                             normalize_point, normalize_points, parse_form,
-                             random_points, space_dim)
+                             monomial_index, monomial_values,
+                             multiplication_matrix, normalize_point,
+                             normalize_points, parse_form, random_points,
+                             space_dim)
+from pnbundles.graded import GradedMatrix
 from pnbundles.modp import MAX_PRIME
 
 P = 32003
@@ -110,6 +112,74 @@ def test_multiplication_matrix_shape_and_content():
     assert m.shape == (10, 4)
     f = Form.from_coeff_vector(4, 2, m @ x[1].coeff_vector() % P)
     assert f == x[0] * x[1]
+
+
+# -- the scattered assembly against the per-monomial loop it replaced ----------
+
+def _ref_multiplication_matrix(f, d_src):
+    """g -> f*g with one dict lookup per (source monomial, term) pair."""
+    nv = f.nvars
+    src = monomial_basis(nv, d_src)
+    tgt_idx = monomial_index(nv, d_src + f.degree)
+    mat = np.zeros((len(tgt_idx), len(src)), dtype=np.int64)
+    if d_src < 0 or f.is_zero():
+        return mat
+    for j, m in enumerate(src):
+        for e, c in f.terms:
+            mat[tgt_idx[tuple(a + b for a, b in zip(e, m))], j] = c
+    return mat
+
+
+def _ref_graded_piece(m, l):
+    """GradedMatrix.graded_piece, one reference block per entry."""
+    nv = m.nvars
+    col_dims = [space_dim(nv, a + l) for a in m.src]
+    return np.block([
+        [np.zeros((space_dim(nv, b + l), cd), dtype=np.int64) if f.is_zero()
+         else _ref_multiplication_matrix(f, a + l)
+         for f, a, cd in zip(row, m.src, col_dims)]
+        for row, b in zip(m.entries, m.tgt)])
+
+
+def _forms_of_degree(nvars, d, rng):
+    """The zero form, a monomial, and forms with 3 and with 30 terms (every
+    monomial of degree d, when there are fewer)."""
+    basis = monomial_basis(nvars, d)
+
+    def some_terms(k):
+        pick = rng.choice(len(basis), min(k, len(basis)), replace=False)
+        return Form.make(nvars, d, {basis[i]: int(rng.integers(1, P)) for i in pick}, P)
+
+    return [Form.zero(nvars, d, P), Form.monomial(nvars, basis[-1], 1, P),
+            some_terms(3), some_terms(30)]
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_multiplication_matrix_matches_reference(nvars):
+    rng = np.random.default_rng(nvars)
+    for deg in range(5):
+        for f in _forms_of_degree(nvars, deg, rng):
+            for d_src in range(-1, 7):
+                _assert_same(multiplication_matrix(f, d_src),
+                             _ref_multiplication_matrix(f, d_src))
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_graded_piece_matches_reference(nvars):
+    # entry degrees tgt - src run from -5 to 4; the negative ones are zero
+    # blocks, and low twists l give blocks of negative source degree
+    rng = np.random.default_rng([nvars, 7])
+    src, tgt = (-1, 0, 2, 3), (3, 1, 0, -2)
+    entries = [[_forms_of_degree(nvars, b - a, rng)[rng.integers(4)] if b >= a
+                else Form.zero(nvars, 0, P) for a in src] for b in tgt]
+    m = GradedMatrix.make(nvars, src, tgt, entries, P)
+    for g in (m, m.dual()):
+        for l in range(-4, 4):
+            _assert_same(g.graded_piece(l), _ref_graded_piece(g, l))
 
 
 def test_normalize_point():

@@ -10,7 +10,7 @@ from pnbundles.graded import GradedMatrix
 from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
                             check_prime, extend_to_complement, inv_mod,
                             is_probable_prime, kernel_basis, matmul_mod, rank,
-                            rref, solve)
+                            rref, solve, zeros)
 from pnbundles.sheaves import LineSum
 
 P = DEFAULT_PRIME
@@ -202,23 +202,30 @@ DIFF_SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (3, 4), (6, 6), (7, 5),
                (5, 9), (12, 10)]
 
 
+def _assert_same(got, want):
+    """Equal int64 arrays, byte for byte."""
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _check_against_reference(a, space, p):
-    """rref, kernel_basis and both branches of extend_to_complement on `a`
-    equal the pure-Python references."""
+    """rref, rank, kernel_basis and both branches of extend_to_complement
+    on `a` equal the pure-Python references; space = None skips the
+    subspace branch."""
     m, n = a.shape
     rows = a.tolist()
     r, piv = rref(a, p)
     ref_r, ref_piv = _ref_rref(rows, n, p)
     assert piv == ref_piv
-    assert r.dtype == np.int64 and (r == _as_array(ref_r, n)).all()
+    _assert_same(r, _as_array(ref_r, n))
+    assert rank(a, p) == len(ref_piv)
     if n:
-        k = kernel_basis(a, p)
-        assert k.shape == (n - len(ref_piv), n)
-        assert (k == _as_array(_ref_kernel(rows, n, p), n)).all()
-    full = extend_to_complement(a, None, p, ncols=n)
-    assert (full == _as_array(_ref_complement(rows, None, n, p), n)).all()
-    sub = extend_to_complement(a, space, p)
-    assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()
+        _assert_same(kernel_basis(a, p), _as_array(_ref_kernel(rows, n, p), n))
+    _assert_same(extend_to_complement(a, None, p, ncols=n),
+                 _as_array(_ref_complement(rows, None, n, p), n))
+    if space is not None:
+        sub = extend_to_complement(a, space, p)
+        assert (sub == _as_array(_ref_complement(rows, space.tolist(), n, p), n)).all()
 
 
 @pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
@@ -279,17 +286,75 @@ def _handoff_input(p):
     return rng.integers(1, p, size=(40, 44)) * (rng.random((40, 44)) < 0.06)
 
 
-@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
+def _tall_sparse(rng, p, m=5775, n=35, per_col=35):
+    """Shaped like the tallest catalog input: each of n columns nonzero in
+    per_col random rows of m, and the last three columns combinations of
+    others, so that the kernel has dimension 3."""
+    a = np.zeros((m, n), dtype=np.int64)
+    for c in range(n - 3):
+        a[rng.choice(m, per_col, replace=False), c] = rng.integers(1, p, size=per_col)
+    a[:, n - 3] = (a[:, 0] + 3 * a[:, 5]) % p
+    a[:, n - 2] = 2 * a[:, 7] % p
+    a[:, n - 1] = (a[:, 1] - a[:, 2] + a[:, n - 2]) % p
+    return a
+
+
+def _elimination_kind(a, p):
+    """How `rref` eliminates a: 'sparse' to the end, 'handoff' to the dense
+    loop partway, or 'dense' from the start."""
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        dense = modp._dense_rref
+        mp.setattr(modp, "_dense_rref",
+                   lambda r, q, col, piv: starts.append(col) or dense(r, q, col, piv))
+        rref(a, p)
+    if not starts:
+        return "sparse"
+    return "handoff" if starts[0] else "dense"
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME, MAX_PRIME])
 def test_sparse_elimination_matches_reference(p):
     rng = np.random.default_rng([p, 29])
-    sparse = list(_sparse_inputs(p))
+    sparse = list(_sparse_inputs(p)) + [np.zeros((30, 40), dtype=np.int64)]
     assert all(np.count_nonzero(a) < modp.DENSE_FILL * a.size for a in sparse)
-    dense = [rng.integers(1, p, size=(14, 17)), _rank_deficient(rng, 17, 14, p)]
+    dense = [rng.integers(1, p, size=(14, 17)), _rank_deficient(rng, 17, 14, p),
+             zeros(0, 7), zeros(9, 0), zeros(0, 0)]
+    kinds = []
     for a in sparse + dense:
+        kinds.append(_elimination_kind(a, p))
         n = a.shape[1]
         space = rng.integers(0, p, size=(6, n)) * (rng.random((6, n)) < 0.2)
         space[3] = (space[0] + 2 * space[1]) % p  # a dependent space row
         _check_against_reference(a, space, p)
+    assert set(kinds) == {"sparse", "handoff", "dense"}
+    # the tall input finishes sparse; its subspace branch is left out, as
+    # the reference reduces all 5775 rows once per space row
+    tall = _tall_sparse(rng, p)
+    assert _elimination_kind(tall, p) == "sparse"
+    assert rank(tall, p) == 32
+    _check_against_reference(tall, None, p)
+
+
+def test_sparse_finish_is_not_densified(monkeypatch):
+    # rank, kernel_basis and the full-space complement read the finished
+    # sparse rows; only rref builds the dense form
+    a = _tall_sparse(np.random.default_rng(31), P, m=600, n=12, per_col=6)
+    assert _elimination_kind(a, P) == "sparse"
+    calls = []
+    dense = modp._SparseRows.dense
+
+    def spy(self):
+        calls.append(1)
+        return dense(self)
+
+    monkeypatch.setattr(modp._SparseRows, "dense", spy)
+    assert rank(a, P) == 9
+    assert kernel_basis(a, P).shape == (3, 12)
+    assert extend_to_complement(a, None, P, ncols=12).shape == (3, 12)
+    assert calls == []
+    rref(a, P)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME])
