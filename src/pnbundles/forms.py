@@ -239,24 +239,13 @@ class Form:
         return f"Form({format_form(self)!r}, deg={self.degree})"
 
 
-def multiplication_matrix(f: Form, d_src: int) -> np.ndarray:
-    """Matrix of g -> f*g from degree d_src to degree d_src + deg f.
-
-    Rows are indexed by the target monomial basis, columns by the source
-    basis, both in the fixed graded reverse-lex order.
-    """
-    mat = np.zeros((space_dim(f.nvars, d_src + f.degree), space_dim(f.nvars, d_src)),
-                   dtype=np.int64)
-    rows, coeffs = product_rows(f, d_src)
-    mat[rows, np.arange(mat.shape[1])] = coeffs[:, None]
-    return mat
-
-
 def product_rows(f: Form, d_src: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries of multiplication_matrix(f, d_src): the k-th
-    term of f (coefficient coeffs[k]) times the j-th source monomial is
-    the target monomial rows[k, j].  No two terms share a target in one
-    column, so a scatter of coeffs[k] into rows[k] fills the matrix."""
+    """The nonzero entries of the matrix of g -> f*g from degree d_src to
+    degree d_src + deg f (target monomials as rows, source monomials as
+    columns): the k-th term of f (coefficient coeffs[k]) times the j-th
+    source monomial is the target monomial rows[k, j].  No two terms share
+    a target in one column, so a scatter of coeffs[k] into rows[k] fills
+    the matrix."""
     if d_src < 0 or f.is_zero():
         return np.zeros((0, space_dim(f.nvars, d_src)), dtype=np.intp), np.zeros(0, np.int64)
     index = monomial_index(f.nvars, f.degree)

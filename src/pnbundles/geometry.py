@@ -19,7 +19,7 @@ from .binforms import binary_gcd_degree
 from .forms import (Form, monomial_values, normalize_point, normalize_points,
                     random_points)
 from .graded import GradedMatrix
-from .idealtests import epi_certificate  # re-exported: certificate lives here
+from .idealtests import epi_certificate  # re-exported: exact onto-test, line sums
 from .modp import DEFAULT_PRIME, check_prime, kernel_basis, rank, relative_rank
 from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
                       fiber_dims, fiber_quot_rows, first_failure, ker_node,

@@ -1,34 +1,30 @@
-"""Graded-piece tests on ideals generated by lists of forms.
+"""Graded-piece tests: the onto-certificate for maps of line-bundle sums,
+and graded pieces of ideals generated by lists of forms.
 
-The central certificate: a map of line-bundle sums is surjective as a
-sheaf map iff its maximal-minor ideal has empty vanishing locus, which is
-verified positively by exhibiting a degree d in which the ideal contains
-every form.
+The central certificate: a map m: ⊕O(a_j) → ⊕O(b_i) is onto as a sheaf
+map iff its cokernel module has finite length.  That module is generated
+in degrees <= g = -min b_i, so once it vanishes in one degree d >= g it
+vanishes in every degree above: a single graded piece m.graded_piece(d)
+of full row rank, d >= g, proves the map onto, with no sampling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import Form, multiplication_matrix, space_dim
+from .forms import Form
 from .graded import GradedMatrix
 from .modp import rank, zeros
 
 
 def ideal_piece_rows(gens: list[Form], d: int) -> np.ndarray:
-    """Rows spanning the degree-d piece of the ideal generated by `gens`."""
+    """Rows spanning the degree-d piece of the ideal generated by `gens`:
+    the transpose of the degree-d piece of the row ⊕O(-deg f) → O."""
     if not gens:
         return zeros(0, 1)
-    nv = gens[0].nvars
-    dim = space_dim(nv, d)
-    blocks = []
-    for f in gens:
-        if f.is_zero() or f.degree > d:
-            continue
-        blocks.append(multiplication_matrix(f, d - f.degree).T)
-    if not blocks:
-        return zeros(0, dim)
-    return np.concatenate(blocks)
+    row = GradedMatrix.row(gens[0].nvars, [-f.degree for f in gens], 0, gens,
+                           gens[0].p)
+    return row.graded_piece(d).T
 
 
 def ideal_piece_dim(gens: list[Form], d: int, p: int) -> int:
@@ -50,20 +46,22 @@ def ideal_pieces_equal(gens_a: list[Form], gens_b: list[Form], degree_bound: int
     return True
 
 
-def epi_certificate(m: GradedMatrix, max_degree: int = 8) -> tuple[bool, int | None]:
+def epi_certificate(m: GradedMatrix, max_degree: int | None = None) -> tuple[bool, int | None]:
     """Certify surjectivity of a map of line-bundle sums.
 
-    Returns (True, d) with the smallest d <= max_degree such that the
-    maximal-minor ideal contains every degree-d form (hence has empty
-    vanishing locus), or (False, None).
+    Returns (True, d) with the smallest d in [g, max_degree] whose graded
+    piece has full row rank, g = -min(m.tgt), or (False, None).  The
+    default max_degree is g + B, B = max(2 (max src - min tgt) + 2, 8), so
+    no verdict of a maximal-minor search up to degree B is lost: if that
+    ideal holds every form of degree e, it annihilates the cokernel
+    (Fitting), and degree g + e certifies.
     """
-    minors = [f for f in m.maximal_minors() if not f.is_zero()]
-    if not minors:
-        return False, None
-    p = m.p
-    nv = m.nvars
-    start = min(f.degree for f in minors)
-    for d in range(start, max_degree + 1):
-        if ideal_piece_dim(minors, d, p) == space_dim(nv, d):
+    g = -min(m.tgt, default=0)
+    if max_degree is None:
+        spread = max(m.src, default=0) + g
+        max_degree = g + max(2 * spread + 2, 8)
+    for d in range(g, max_degree + 1):
+        piece = m.graded_piece(d)
+        if rank(piece, m.p) == piece.shape[0]:
             return True, d
     return False, None

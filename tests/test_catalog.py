@@ -8,7 +8,7 @@ from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                parse_node, serialize_catalog, verify_all,
                                verify_entry)
 from pnbundles.catalog_entries import build_catalog
-from pnbundles.sheaves import Cohomology
+from pnbundles.sheaves import Cohomology, KerNode, QuotNode
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "catalog" / "catalog.json"
 
@@ -104,3 +104,23 @@ def test_verify_report_shape(catalog):
     assert all(c["ok"] for e in data["entries"] for c in e["checks"])
     text = rep.render()
     assert "2/2 entries verified" in text
+
+
+def test_sampled_fibers_only_for_kernel_carried_targets(catalog, monkeypatch):
+    # every map of line sums is certified by graded pieces; only kernel
+    # maps onto a target carried by a kernel node still sample fibers
+    sampled = []
+    check_fibers = Cohomology._check_fibers
+
+    def spy(self, node, want, message):
+        sampled.append(node)
+        return check_fibers(self, node, want, message)
+
+    monkeypatch.setattr(Cohomology, "_check_fibers", spy)
+    rep = verify_all(catalog, trials=10, seed=1)
+    assert all(e.error is None for e in rep.entries)
+    assert sampled
+    for node in sampled:
+        assert isinstance(node, KerNode)
+        carrier = node.target.inner if isinstance(node.target, QuotNode) else node.target
+        assert isinstance(carrier, KerNode)

@@ -96,6 +96,19 @@ def test_coh_command(kernel_node_file, capsys):
     assert cells[(1, -3)] == 1 and cells[(1, -2)] == 1
 
 
+@pytest.mark.parametrize("command", ["chern", "coh"])
+def test_tall_kernel_rejected(tmp_path, capsys, command):
+    # the kernel of O(-1) -> O^4 would have rank -3
+    node = write(tmp_path, "tall.json", {
+        "n": 3,
+        "construction": {"ker": {"matrix": {
+            "src": [-1], "tgt": [0, 0, 0, 0],
+            "rows": [["x0"], ["x1"], ["x2"], ["x3"]]}}}})
+    assert main([command, node, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative rank" in captured.err
+
+
 def test_gg_command(kernel_node_file, capsys):
     assert main(["--trials", "60", "gg", kernel_node_file, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["generated"] is True

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from pnbundles.forms import (Form, format_form, monomial_basis,
                              monomial_index, monomial_values,
-                             multiplication_matrix, normalize_point,
-                             normalize_points, parse_form, random_points,
-                             space_dim)
+                             normalize_point, normalize_points, parse_form,
+                             random_points, space_dim)
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import MAX_PRIME
 
@@ -104,6 +103,12 @@ def test_substitute_restricts_to_line():
     # u(u+v) - v^2 = u^2 + uv - v^2
     assert g.coeff((2, 0)) == 1 and g.coeff((1, 1)) == 1
     assert g.coeff((0, 2)) == P - 1
+
+
+def multiplication_matrix(f, d_src):
+    """g -> f*g from degree d_src: the graded piece of the 1x1 matrix
+    O → O(deg f) with entry f."""
+    return GradedMatrix.make(f.nvars, (0,), (f.degree,), [[f]], f.p).graded_piece(d_src)
 
 
 def test_multiplication_matrix_shape_and_content():

@@ -10,8 +10,8 @@ from pnbundles.geometry import (DegenerateRestriction, LineParam,
                                 splitting_type_on_line)
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import rank
-from pnbundles.sheaves import (Cohomology, LineSum, ker_node, quot_node,
-                               rank_of, sum_node)
+from pnbundles.sheaves import (CertificationError, Cohomology, LineSum,
+                               ker_node, quot_node, rank_of, sum_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -115,20 +115,28 @@ def test_gg_quotient_node(eng):
 
 def test_gg_reports_fiber_dimension_before_span(eng):
     # O^4 modulo a column whose entries l0, l1 vanish together on a line L
-    # (missed by the certificate's samples), plus O(-1): the sections never
-    # span, and the fiber dimension jumps on L.  The jump is the witness
-    # even where a span failure comes first.
+    # is not a bundle: the dual row (l0, l1, 0, 0) is not onto, so the
+    # quotient is never certified, whatever the sample points are.
     l0 = X[0] + X[1] + X[2] + X[3]
     l1 = X[0] + X[1].scale(2) + X[2].scale(3) + X[3].scale(5)
     pinch = quot_node(GradedMatrix.column(4, -1, (0,) * 4, [l0, l1, "0", "0"]),
                       LineSum.make(4, (0,) * 4))
-    node = sum_node(pinch, LineSum.make(4, (-1,)))
-    on_line = (1, P - 2, 1, 0)
-    assert l0.evaluate(on_line) == l1.evaluate(on_line) == 0
-    v = is_globally_generated(node, trials=0, hint_points=[(1, 2, 3, 4), on_line], eng=eng)
-    assert not v.generated and v.witness_point == on_line
-    v = is_globally_generated(node, trials=0, hint_points=[(1, 2, 3, 4)], eng=eng)
-    assert not v.generated and v.witness_point == normalize_point((1, 2, 3, 4), P)
+    with pytest.raises(CertificationError, match="^subobject map drops rank"):
+        eng.certify(sum_node(pinch, LineSum.make(4, (-1,))))
+    # The raw kernel of the row (l0, l1, 0, 0) is checked without a
+    # certificate: its fiber is 3-dimensional off L and 4-dimensional on
+    # L, and its degree-0 sections e2, e3 span no fiber.  Over F_7 the
+    # seeded sample meets L after a point off L; the fiber-dimension jump
+    # is the witness even though a span failure comes first.
+    q, trials, seed = 7, 60, 90021
+    row = GradedMatrix.row(4, (0,) * 4, 1, ["x0+x1+x2+x3", "x0+2*x1+3*x2+5*x3",
+                                            "0", "0"], q)
+    pts = np.array(random_points(4, trials, seed, q)).reshape(-1, 4)
+    on_line = (pts.sum(axis=1) % q == 0) & (pts @ (1, 2, 3, 5) % q == 0)
+    assert not on_line[0] and on_line.any()
+    v = gg_of_raw_kernel(row, expected_rank=3, trials=trials, seed=seed, p=q)
+    assert not v.generated
+    assert v.witness_point == tuple(pts[np.flatnonzero(on_line)[0]].tolist())
 
 
 def test_gg_raw_kernel():

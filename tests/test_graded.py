@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pnbundles.forms import Form, monomial_basis, random_points
+from pnbundles.forms import Form, monomial_basis, random_points, space_dim
 from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix
 from pnbundles.idealtests import epi_certificate, ideal_piece_dim
 from pnbundles.modp import MAX_PRIME, batched_rank, kernel_basis, rank
@@ -160,16 +160,109 @@ def test_hn_matrix_shapes_and_functoriality():
 
 
 def test_epi_certificates():
+    # degrees are cokernel degrees d >= -min(tgt): piece S_{a+d} -> S_{b+d}
     ok, d = epi_certificate(mixed_row())
-    assert ok and d == 2
+    assert ok and d == -1
     euler = GradedMatrix.row(4, (1,) * 4, 2, X)
-    assert epi_certificate(euler) == (True, 1)
+    assert epi_certificate(euler) == (True, -1)
     squares = GradedMatrix.row(4, (0,) * 4, 2, [x * x for x in X])
     ok, d = epi_certificate(squares)
-    assert ok and d == 5  # the all-ones exponent monomials appear late
+    assert ok and d == 3  # x0*x1*x2*x3 is missed in S_4, not in S_5
     degenerate = GradedMatrix.make(
         4, (0,) * 4, (1, 1), [[X[0], X[1], X[2], "0"], ["0", X[0], X[1], X[2]]])
     assert epi_certificate(degenerate, max_degree=6) == (False, None)
+
+
+# -- the onto-certificate against exhaustive points and the minor ideal -------
+
+def _minor_ideal_certificate(m):
+    """The maximal-minor ideal search that graded pieces replaced: (True, e)
+    for the smallest e <= max(2 (max src - min tgt) + 2, 8) such that the
+    ideal holds every form of degree e.  Sound only for wide matrices:
+    on a tall one it certifies maps that are never onto."""
+    minors = [f for f in m.maximal_minors() if not f.is_zero()]
+    if not minors:
+        return False, None
+    bound = max(2 * (max(m.src) - min(m.tgt)) + 2, 8)
+    for e in range(min(f.degree for f in minors), bound + 1):
+        if ideal_piece_dim(minors, e, m.p) == space_dim(m.nvars, e):
+            return True, e
+    return False, None
+
+
+def _plane_points(q):
+    """Every F_q-point of P^2, normalized."""
+    return np.array([(1, a, b) for a in range(q) for b in range(q)]
+                    + [(0, 1, b) for b in range(q)] + [(0, 0, 1)], dtype=np.int64)
+
+
+def _random_map(rng, q, nrows, ncols):
+    """Twists a_j in {0, 1} -> b_i in {1, 2}; each entry is zero with
+    probability 0.3, else a form with random coefficients (maybe zero)."""
+    src = rng.integers(0, 2, ncols)
+    tgt = rng.integers(1, 3, nrows)
+    rows = []
+    for b in tgt:
+        row = []
+        for a in src:
+            d = int(b - a)
+            coeffs = {} if rng.random() < 0.3 else {
+                e: int(rng.integers(0, q)) for e in monomial_basis(3, d)}
+            row.append(Form.make(3, d, coeffs, q))
+        rows.append(row)
+    return GradedMatrix.make(3, src, tgt, rows, q)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_epi_certificate_against_every_point(q):
+    # a certificate while some F_q-point drops rank is a bug; so is a wide
+    # map that the minor ideal certifies and graded pieces do not
+    rng = np.random.default_rng(q)
+    pts = _plane_points(q)
+    counts = {"onto": 0, "minors": 0, "mono": 0}
+    for trial in range(80):
+        nrows = int(rng.integers(1, 3))
+        tall = trial % 4 == 3
+        m = _random_map(rng, q, nrows, nrows + int(rng.integers(tall, 3)))
+        if tall:
+            m = m.dual()
+        ranks = batched_rank(m.evaluate(pts), q)
+        ok, d = epi_certificate(m)
+        assert not ok or (ranks == m.nrows).all(), (m, d)
+        if tall:
+            assert not ok
+            # the dual is onto exactly when m is injective on every fiber
+            ok_dual, _ = epi_certificate(m.dual())
+            counts["mono"] += ok_dual
+            assert not ok_dual or (ranks == m.ncols).all(), m
+            continue
+        counts["onto"] += ok
+        ref_ok, e = _minor_ideal_certificate(m)
+        counts["minors"] += ref_ok
+        if ref_ok:
+            assert ok and d <= -min(m.tgt) + e, (m, d, e)
+    # both verdicts occur among the 60 wide and the 20 tall maps
+    assert 0 < counts["onto"] < 60 and counts["minors"] > 0, counts
+    assert 0 < counts["mono"] < 20, counts
+
+
+def test_minor_ideal_reference_certifies_tall_maps():
+    # the bug the graded pieces remove: the 1x1 minors x0..x3 of the
+    # column O(-1) -> O^4 fill S_1, but its image has rank 1 on every fiber
+    col = GradedMatrix.column(4, -1, (0,) * 4, X)
+    assert _minor_ideal_certificate(col) == (True, 1)
+    assert epi_certificate(col) == (False, None)
+
+
+def test_epi_certificate_starts_at_top_generator_degree():
+    # rows (x0..x3) and 0 from O(-1)^4 to O + O(-10): the degree-1 piece
+    # S_0^4 -> S_1 + S_{-9} has full row rank, but the O(-10) summand is
+    # never hit; a search starting below g = 10 would certify this map
+    # (the bound 12 keeps the pieces small: the default runs to degree 30)
+    m = GradedMatrix.make(4, (-1,) * 4, (0, -10), [X, ["0"] * 4])
+    piece = m.graded_piece(1)
+    assert rank(piece, P) == piece.shape[0] > 0
+    assert epi_certificate(m, max_degree=12) == (False, None)
 
 
 def test_ideal_piece_dim():

@@ -214,6 +214,33 @@ def test_p_transform_fixed_point_chern(eng):
     assert (cvt.rank, cvt.c[:3]) == (3, (4, 8, 0))
 
 
+def test_negative_rank_constructions_rejected():
+    # a kernel needs at least rank(target) source summands, and a
+    # quotient at most rank(inner) subobject summands; rank 0 is allowed
+    euler = GradedMatrix.column(4, -1, (0,) * 4, X)
+    with pytest.raises(ValueError, match="kernel of negative rank"):
+        ker_node(euler)
+    with pytest.raises(ValueError, match="kernel of negative rank"):
+        ker_node(GradedMatrix.make(4, (0,) * 2, (0,) * 4, [["1", "0"], ["0", "1"],
+                                                           ["0", "0"], ["0", "0"]]),
+                 quot_node(euler, LineSum.make(4, (0,) * 4)))
+    row = GradedMatrix.row(4, (0,) * 4, 1, X)
+    with pytest.raises(ValueError, match="quotient of negative rank"):
+        quot_node(row, LineSum.make(4, (1,)))
+    assert rank_of(ker_node(GradedMatrix.make(4, (0,), (0,), [["1"]]))) == 0
+    assert rank_of(quot_node(GradedMatrix.make(4, (0,), (0,), [["1"]]),
+                             LineSum.make(4, (0,)))) == 0
+
+
+def test_quotient_by_empty_map_is_the_inner_node():
+    # no subobject summands: the dual map goes onto the empty sum
+    inner = LineSum.make(4, (0, 1))
+    node = quot_node(GradedMatrix.make(4, (), (0, 1), [[], []]), inner)
+    eng2 = Cohomology()
+    for l in range(-1, 2):
+        assert eng2.values(node, l) == eng2.values(inner, l)
+
+
 def test_malformed_whitney_division():
     from pnbundles.chern import poly_div
     with pytest.raises(ValueError):
@@ -228,12 +255,14 @@ def test_uncertified_epi_rejected(eng):
 
 
 def test_non_mono_quotient_rejected(eng):
-    # (x0, x1, 0, 0) vanishes on x0 = x1 = 0; the 24 seeded samples miss
-    # that line, and (0, 0, 1, 0) is the first coordinate point on it
+    # (x0, x1, 0, 0) vanishes on the line x0 = x1 = 0, which no seeded
+    # sample meets; its dual row (x0, x1, 0, 0) is never onto, so the
+    # exact certificate rejects it without a sample point
     col = GradedMatrix.column(4, -1, (0, 0, 0, 0), [X[0], X[1], "0", "0"])
     node = quot_node(col, LineSum.make(4, (0, 0, 0, 0)))
     with pytest.raises(CertificationError,
-                       match=r"drops rank at sample point \(0, 0, 1, 0\)$"):
+                       match=r"^subobject map drops rank "
+                             r"\(no graded piece has full row rank\)$"):
         eng.values(node, 0)
 
 
@@ -253,7 +282,7 @@ def test_kernel_not_onto_kernel_target_rejected(eng):
 
 def test_kernel_not_onto_quotient_target_rejected(eng):
     # e1, e2, e3 span O^4 modulo the Euler vector (x0..x3) exactly off
-    # x0 = 0, where (0, 1, 0, 0) is the first sample point
+    # x0 = 0, so [e1 e2 e3 | euler] is not onto O^4
     euler = GradedMatrix.column(4, -1, (0,) * 4, X)
     tangent = quot_node(euler, LineSum.make(4, (0,) * 4))
     units = [[1 if i == j else 0 for j in (1, 2, 3)] for i in range(4)]
@@ -261,7 +290,8 @@ def test_kernel_not_onto_quotient_target_rejected(eng):
                                       [[str(c) for c in row] for row in units]),
                     tangent)
     with pytest.raises(CertificationError,
-                       match=r"not onto the quotient at sample point \(0, 1, 0, 0\)$"):
+                       match=r"^map is not onto the quotient "
+                             r"\(no graded piece has full row rank\)$"):
         eng.values(node, 0)
 
 
