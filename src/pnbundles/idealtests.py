@@ -54,8 +54,11 @@ def epi_certificate(m: GradedMatrix, max_degree: int | None = None) -> tuple[boo
     default max_degree is g + B, B = max(2 (max src - min tgt) + 2, 8), so
     no verdict of a maximal-minor search up to degree B is lost: if that
     ideal holds every form of degree e, it annihilates the cokernel
-    (Fitting), and degree g + e certifies.
+    (Fitting), and degree g + e certifies.  A zero row leaves its summand
+    O(b_i) in the cokernel, so such a map is rejected before any piece.
     """
+    if any(all(f.is_zero() for f in row) for row in m.entries):
+        return False, None
     g = -min(m.tgt, default=0)
     if max_degree is None:
         spread = max(m.src, default=0) + g

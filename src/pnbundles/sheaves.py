@@ -10,8 +10,18 @@ with every connecting rank explicit.
 
 The engine keeps one record per (node, twist l), a `Strands`: the cells
 h^0..h^n of node(l), its H^0 model and its H^n model, or None for a
-model the chain cannot provide.  A record is computed once, from the
-records of the node's children, and never changed.
+model the chain cannot provide.  A record's cells are computed once, from
+the records of the node's children, and never changed.  Its models are
+built on first read, at most once; a record that had to eliminate to get
+its cells keeps the model that elimination gave at once.
+
+Regularity rule (Castelnuovo-Mumford; Mumford, Lectures on Curves on an
+Algebraic Surface, Lecture 14): if the engine already holds the records
+of K = ker(F -> G) at l - i with h^i(K(l - i)) an exact 0 for i = 1..n,
+then K is l-regular, so h^1(K(l)) = 0 and H^0(F(l)) -> H^0(G(l)) is onto.
+With h^0(G(l)) exact, that rank is h^0(G(l)) and the record of K(l) needs
+no elimination for its cells.  The rule reads only records already held
+and never computes a twist of its own.
 
 Cells whose splice would require a model the chain cannot provide are
 reported as closed intervals, never guessed.
@@ -251,14 +261,28 @@ class Presented:
         return self.quot
 
 
-@dataclass(frozen=True)
 class Strands:
     """What the engine knows about one node(l): its cells h^0..h^n, and
     its H^0 and H^n models for splices through it (None where the chain
-    provides no model)."""
-    cells: tuple
-    h0: Presented | None
-    hn: Presented | None
+    provides no model).  A model is given built, or as a function that
+    builds it; that function runs on the first read of the model, once."""
+    __slots__ = ("cells", "_h0", "_hn")
+
+    def __init__(self, cells: tuple, h0=None, hn=None):
+        self.cells = cells
+        self._h0, self._hn = h0, hn
+
+    @property
+    def h0(self) -> Presented | None:
+        if callable(self._h0):
+            self._h0 = self._h0()
+        return self._h0
+
+    @property
+    def hn(self) -> Presented | None:
+        if callable(self._hn):
+            self._hn = self._hn()
+        return self._hn
 
 
 def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarray]:
@@ -552,8 +576,8 @@ class Cohomology:
             for i in range(n + 1):
                 lo, hi = map(sum, zip(*(cell_bounds(q.cells[i]) for q in parts)))
                 cells.append(shift_cell(0, lo, hi))
-            return Strands(tuple(cells), block_presented([q.h0 for q in parts]),
-                           block_presented([q.hn for q in parts]))
+            return Strands(tuple(cells), lambda: block_presented([q.h0 for q in parts]),
+                           lambda: block_presented([q.hn for q in parts]))
 
         if isinstance(node, DualNode):
             inner = self.strands(node.inner, -l - n - 1)
@@ -574,8 +598,17 @@ class Cohomology:
         tvals, tn = tgt.cells, tgt.hn
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
-        rank0, ker0 = kernel_into(m.graded_piece(l), tgt.h0, p)
-        h0 = Presented(dim_a0, ker0, None)
+
+        def section_model():
+            rank0, ker0 = kernel_into(m.graded_piece(l), tgt.h0, p)
+            return rank0, Presented(dim_a0, ker0, None)
+
+        if is_exact_cell(tvals[0]) and self._regular_at(node, l):
+            # node is l-regular, so h^1(node(l)) = 0: H^0(F(l)) -> H^0(G(l))
+            # is onto, and the section model waits for its first read
+            rank0, h0 = int(tvals[0]), lambda: section_model()[1]
+        else:
+            rank0, h0 = section_model()
 
         # h^1 = coker on the section strand; the middle range shifts down
         cells = (dim_a0 - rank0, shift_cell(tvals[0], -rank0)) + tvals[1:n - 1]
@@ -594,29 +627,40 @@ class Cohomology:
         nv = m.nvars
         n = nv - 1
         inner = self.strands(node.inner, l)
-        ivals, i0, inn = inner.cells, inner.h0, inner.hn
+        ivals, inn = inner.cells, inner.hn
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
         dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
 
-        # section model: coset representatives extending the image of the
-        # degree-l piece of m inside H^0(inner)
-        img = m.graded_piece(l).T
-        if i0.quot is not None and i0.quot.size:
-            img = np.concatenate([img, i0.quot])
-        reps = extend_to_complement(img, i0.space, p, ncols=i0.ambient_dim)
-        h0 = Presented(i0.ambient_dim, reps, np.mod(img, p) if img.size else None)
+        def section_model():
+            # coset representatives extending the image of the degree-l
+            # piece of m inside H^0(inner)
+            i0 = inner.h0
+            img = m.graded_piece(l).T
+            if i0.quot is not None and i0.quot.size:
+                img = np.concatenate([img, i0.quot])
+            reps = extend_to_complement(img, i0.space, p, ncols=i0.ambient_dim)
+            return Presented(i0.ambient_dim, reps, np.mod(img, p) if img.size else None)
 
         cells = (shift_cell(ivals[0], -dim_a0),) + ivals[1:n - 1]
         if inn is None:
             return Strands(cells + (shift_cell(ivals[n - 1], 0, dim_an),
-                                    shift_cell(ivals[n], -dim_an, 0)), h0, None)
+                                    shift_cell(ivals[n], -dim_an, 0)), section_model, None)
         T = hn_matrix(m, l)
         kerdim = dim_an - kernel_into(T, inn, p)[0]
         new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
         hn = Presented(inn.ambient_dim, inn.space, new_quot if new_quot.size else None)
         return Strands(cells + (shift_cell(ivals[n - 1], kerdim),
-                                shift_cell(ivals[n], kerdim - dim_an)), h0, hn)
+                                shift_cell(ivals[n], kerdim - dim_an)), section_model, hn)
+
+    def _regular_at(self, node, l: int) -> bool:
+        """Whether records already held show node to be l-regular:
+        h^i(node(l - i)) is an exact 0 for i = 1..n."""
+        for i in range(1, nvars_of(node)):
+            rec = self._strands.get((node, l - i))
+            if rec is None or not (is_exact_cell(rec.cells[i]) and rec.cells[i] == 0):
+                return False
+        return True
 
     # -- public operations -----------------------------------------------------
 

@@ -109,6 +109,18 @@ def test_tall_kernel_rejected(tmp_path, capsys, command):
     assert captured.out == "" and "negative rank" in captured.err
 
 
+def test_coh_rejects_kernel_map_with_zero_row(tmp_path, capsys):
+    # O(-1)^4 -> O + O(-10) never reaches O(-10): rejected at once, exit 2
+    node = write(tmp_path, "zero_row.json", {
+        "n": 3,
+        "construction": {"ker": {"matrix": {
+            "src": [-1, -1, -1, -1], "tgt": [0, -10],
+            "rows": [["x0", "x1", "x2", "x3"], ["0", "0", "0", "0"]]}}}})
+    assert main(["coh", node, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "map is not onto the target" in captured.err
+
+
 def test_gg_command(kernel_node_file, capsys):
     assert main(["--trials", "60", "gg", kernel_node_file, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["generated"] is True

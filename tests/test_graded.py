@@ -265,6 +265,33 @@ def test_epi_certificate_starts_at_top_generator_degree():
     assert epi_certificate(m, max_degree=12) == (False, None)
 
 
+def test_epi_certificate_rejects_zero_row_before_any_piece(monkeypatch):
+    # the zero row leaves O(-10) in the cokernel; the default bound would
+    # search to degree 30 (a 7227 x 19840 piece) before saying so
+    m = GradedMatrix.make(4, (-1,) * 4, (0, -10), [X, ["0"] * 4])
+    built = []
+    real = GradedMatrix.graded_piece
+    monkeypatch.setattr(GradedMatrix, "graded_piece",
+                        lambda self, d: built.append(d) or real(self, d))
+    assert epi_certificate(m) == (False, None)
+    assert built == []
+    # a map from the zero sheaf has only zero rows; the empty target has none
+    assert epi_certificate(GradedMatrix.make(4, (), (0,), [[]])) == (False, None)
+    assert epi_certificate(GradedMatrix.make(4, (1,), (), [])) == (True, 0)
+
+
+def test_epi_certificate_starts_at_top_generator_degree_without_zero_rows():
+    # O(-1)^4 + O(-12) -> O + O(-10), rows (x0..x3, 0) and (0, 0, 0, 0, x0^2):
+    # no row is zero and the degree-1 piece has full row rank, but the
+    # cokernel O(-10)/x0^2 O(-12) never vanishes; a search below g = 10
+    # would certify it
+    m = GradedMatrix.make(4, (-1,) * 4 + (-12,), (0, -10),
+                          [X + [Form.zero(4, 11)], ["0"] * 4 + [X[0] * X[0]]])
+    piece = m.graded_piece(1)
+    assert rank(piece, P) == piece.shape[0] > 0
+    assert epi_certificate(m, max_degree=12) == (False, None)
+
+
 def test_ideal_piece_dim():
     gens = [X[0], X[1]]
     # degree-2 piece of (x0, x1) on P^3: x0*S1 + x1*S1 has dimension 7

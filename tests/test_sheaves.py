@@ -1,17 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pnbundles import sheaves
+from pnbundles.catalog import load_catalog, parse_node
 from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
 from pnbundles.forms import Form, random_points
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import rank
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
-                               KerNode, LineSum, Presented, QuotNode, SumNode,
-                               block_rows, chern_of_node, default_window,
-                               fiber_dims, fiber_quot_rows, fiber_ranks,
-                               is_exact_cell, ker_node, kernel_into, quot_node,
-                               rank_of, serre_flip, sum_node, twist_node)
+                               KerNode, LineSum, Presented, QuotNode, Strands,
+                               SumNode, block_rows, chern_of_node,
+                               default_window, fiber_dims, fiber_quot_rows,
+                               fiber_ranks, is_exact_cell, ker_node,
+                               kernel_into, nvars_of, quot_node, rank_of,
+                               serre_flip, sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -460,3 +465,179 @@ def test_fibers_match_per_point_reference():
         got = fiber_quot_rows(node, len(pts), ev)
         assert all(np.array_equal(g, _ref_quot_rows(node, x)) for g, x in zip(got, pts))
     assert list(fiber_dims(whole, len(pts), ev, P)) == [_ref_dim(whole, x) for x in pts]
+
+
+# -- the regularity rule and lazy models --------------------------------------
+# K = ker(F -> G) at l: if h^i(K(l - i)) is an exact 0 for i = 1..n in
+# records already held, K is l-regular, h^1(K(l)) = 0, and (with h^0(G(l))
+# exact) h^0(K(l)) = dim F_l - h^0(G(l)) with no elimination.
+
+CATALOG = load_catalog(Path(__file__).resolve().parents[1] / "catalog" / "catalog.json")
+
+
+def catalog_node(entry_id):
+    entry = next(e for e in CATALOG["entries"] if e["id"] == entry_id)
+    return parse_node(entry["construction"], entry["n"] + 1, CATALOG["prime"])
+
+
+def catalog_constructions():
+    return [(e["id"], catalog_node(e["id"])) for e in CATALOG["entries"]
+            if "construction" in e]
+
+
+def walk_down(eng, node, twists):
+    """Records of node at twists, in that order, with every kernel's
+    records computed in the same order: a dual's inner node is walked at
+    the Serre-dual twists, reversed, and a sum's parts one by one."""
+    n = nvars_of(node) - 1
+    if isinstance(node, DualNode):
+        walk_down(eng, node.inner, [-l - n - 1 for l in reversed(twists)])
+    elif isinstance(node, SumNode):
+        for q in node.parts:
+            walk_down(eng, q, twists)
+    for l in twists:
+        eng.values(node, l)
+
+
+def counting_rule(eng):
+    """Count the records where eng's regularity rule fires."""
+    fired = []
+    real = eng._regular_at
+
+    def spy(node, l):
+        ok = real(node, l)
+        if ok:
+            fired.append((node, l))
+        return ok
+
+    eng._regular_at = spy
+    return fired
+
+
+def same_model(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.ambient_dim == b.ambient_dim and all(
+        (x is None and y is None) or (x is not None and y is not None
+                                      and x.shape == y.shape and np.array_equal(x, y))
+        for x, y in ((a.space, b.space), (a.quot, b.quot)))
+
+
+def test_regularity_rule_matches_records_without_it():
+    # the catalog window walked upward (the rule fires) against a fresh
+    # engine walked downward (it cannot): same keys, same cells, and every
+    # model, forced afterwards, equal entry for entry
+    total = 0
+    for entry_id, node in catalog_constructions():
+        window = list(default_window(nvars_of(node) - 1))
+        up, down = Cohomology(CATALOG["prime"]), Cohomology(CATALOG["prime"])
+        fired_up, fired_down = counting_rule(up), counting_rule(down)
+        up.table(node, window)
+        walk_down(down, node, window[::-1])
+        assert fired_down == [], entry_id
+        total += len(fired_up)
+        assert up._strands.keys() == down._strands.keys(), entry_id
+        for key, rec in up._strands.items():
+            assert rec.cells == down._strands[key].cells, (entry_id, key)
+        for key, rec in up._strands.items():
+            ref = down._strands[key]
+            assert same_model(rec.h0, ref.h0), (entry_id, key, "h0")
+            assert same_model(rec.hn, ref.hn), (entry_id, key, "hn")
+        if up.strands(node, 0).h0 is not None:
+            got, want = up.h0_basis(node, 0), down.h0_basis(node, 0)
+            assert got.ncols == want.ncols, entry_id
+            a, b = got.graded_piece(0), want.graded_piece(0)
+            assert a.shape == b.shape and np.array_equal(a, b), entry_id
+    assert total > 0
+
+
+def test_regularity_rule_skips_top_twist_elimination(monkeypatch):
+    # the top twist of a kernel onto a kernel and of a kernel onto a line
+    # sum is not eliminated; its section model is built on the first read
+    calls = []
+    real = sheaves.kernel_into
+    monkeypatch.setattr(sheaves, "kernel_into",
+                        lambda T, target, p: calls.append(T) or real(T, target, p))
+    for entry_id in ("p3-kernel-onto-cotangent", "p3-mixed-kernel"):
+        node = catalog_node(entry_id)
+        eng = Cohomology(CATALOG["prime"])
+        window = list(default_window(3))
+        top = window[-1]
+        calls.clear()
+        eng.table(node, window)
+        kernels = [node] + ([node.target] if isinstance(node.target, KerNode) else [])
+        assert len(kernels) == (2 if entry_id == "p3-kernel-onto-cotangent" else 1)
+        for k in kernels:
+            piece = k.matrix.graded_piece(top)
+            assert not any(T.shape == piece.shape and np.array_equal(T, piece)
+                           for T in calls), (entry_id, k)
+        # the first read builds the node's model and the one it reads
+        calls.clear()
+        model = eng.h0_presented(node, top)
+        assert len(calls) == len(kernels)
+        assert eng.h0_presented(node, top) is model and len(calls) == len(kernels)
+        assert model.space.shape[0] == eng.h(node, 0, top)
+
+
+def test_regularity_rule_needs_every_i():
+    # Omega(1) = ker(O^4 -> O(1)): h^1(Omega(-1)) = 0 but h^1(Omega) = 1;
+    # only h^3(Omega(-3)) = 4 stops the rule at l = -1
+    om1 = ker_node(GradedMatrix.row(4, (0, 0, 0, 0), 1, X))
+    eng = Cohomology()
+    fired = counting_rule(eng)
+    eng.table(om1, range(-4, 3))
+    assert eng.values(om1, -2)[1] == 0 and eng.values(om1, -1)[1] == 1
+    assert eng.values(om1, -4)[3] == 4
+    assert (om1, -1) not in fired
+    assert eng.values(om1, -1) == Cohomology().values(om1, -1)
+    assert [l for _, l in fired] == [1, 2]
+
+
+def test_regularity_rule_reads_only_held_records():
+    # twists asked for are the only twists computed: the rule never fills
+    # in the records it reads
+    node = mixed_kernel()
+    eng = Cohomology()
+    fired = counting_rule(eng)
+    eng.table(node, range(0, 3))
+    assert fired == []                         # l - 1 .. l - 3 are not all held
+    assert {l for nd, l in eng._strands if nd == node} == {0, 1, 2}
+    eng.table(node, range(-3, 5))
+    assert [l for _, l in fired] == [3, 4]
+
+
+def test_regularity_rule_needs_exact_target_h0(monkeypatch):
+    # with an interval in place of h^0 of the target the record eliminates
+    node = mixed_kernel()
+    ref = Cohomology()
+    want = ref.values(node, 4)
+    eng = Cohomology()
+    eng.table(node, range(-3, 4))
+    held = ref.strands(node.target, 4)
+    lo = held.cells[0]
+    eng._strands[(node.target, 4)] = Strands(((lo - 1, lo + 1),) + held.cells[1:],
+                                             held.h0, held.hn)
+    calls = []
+    real = sheaves.kernel_into
+    monkeypatch.setattr(sheaves, "kernel_into",
+                        lambda T, target, p: calls.append(T) or real(T, target, p))
+    vals = eng.values(node, 4)
+    assert calls and vals[0] == want[0]
+    assert vals[1] == (want[1] - 1, want[1] + 1)
+
+
+def test_models_are_built_on_first_read(monkeypatch):
+    # a quotient's cells need no coset representatives; a sum's none of its
+    # blocks: each model is built when first read, then kept
+    calls = []
+    real = sheaves.extend_to_complement
+    monkeypatch.setattr(sheaves, "extend_to_complement",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    eng = Cohomology()
+    q = nullcorrelation_twist()
+    s = sum_node(mixed_kernel(), q)
+    eng.table(s, range(-2, 2))
+    assert calls == []
+    model = eng.h0_presented(s, 1)
+    assert len(calls) == 1 and eng.h0_presented(s, 1) is model
+    assert eng.h0_presented(q, 1) is eng.strands(q, 1).h0 and len(calls) == 1
