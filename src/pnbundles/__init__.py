@@ -16,11 +16,11 @@ from .exterior import (ExtElement, MonadShape, beilinson_terms, contract,
                        omega_restriction, skew_rank, wedge, wedge_map_rank)
 from .forms import Form, monomial_basis, parse_form, random_points, space_dim
 from .geometry import (GGVerdict, LineParam, cayley_bacharach,
-                       cayley_bacharach_oracle, edge_avoidance,
-                       epi_certificate, gg_of_raw_kernel,
+                       cayley_bacharach_oracle, edge_avoidance, gg_of_raw_kernel,
                        is_globally_generated, quadric_line_component_test,
                        splitting_type_on_line)
 from .graded import GradedMatrix, hn_matrix
+from .idealtests import epi_certificate
 from .modp import DEFAULT_PRIME, kernel_basis, rank, rref, solve
 from .pencil import (PencilClass, classify, is_stable, linear_matrix_2x4,
                      minor_ideal_equals, to_pencil)

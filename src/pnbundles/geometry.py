@@ -19,14 +19,13 @@ from .binforms import binary_gcd_degree
 from .forms import (Form, monomial_values, normalize_point, normalize_points,
                     random_points)
 from .graded import GradedMatrix
-from .idealtests import epi_certificate  # re-exported: exact onto-test, line sums
 from .modp import DEFAULT_PRIME, check_prime, kernel_basis, rank, relative_rank
 from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
                       fiber_dims, fiber_quot_rows, first_failure, ker_node,
                       nvars_of, prime_of, rank_of)
 
 __all__ = [
-    "LineParam", "GGVerdict", "epi_certificate", "cayley_bacharach",
+    "LineParam", "GGVerdict", "cayley_bacharach",
     "cayley_bacharach_oracle", "splitting_type_on_line", "restrict_to_line",
     "is_globally_generated", "gg_of_raw_kernel", "edge_avoidance",
     "quadric_line_component_test", "DegenerateRestriction",

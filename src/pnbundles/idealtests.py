@@ -1,11 +1,10 @@
 """Graded-piece tests: the onto-certificate for maps of line-bundle sums,
 and graded pieces of ideals generated by lists of forms.
 
-The central certificate: a map m: ⊕O(a_j) → ⊕O(b_i) is onto as a sheaf
-map iff its cokernel module has finite length.  That module is generated
-in degrees <= g = -min b_i, so once it vanishes in one degree d >= g it
-vanishes in every degree above: a single graded piece m.graded_piece(d)
-of full row rank, d >= g, proves the map onto, with no sampling.
+A map ⊕O(a_j) → ⊕O(b_i) is onto once one graded piece of degree
+d >= -min b_i has full row rank: its cokernel module is generated in
+degrees <= -min b_i.  `epi_certificate` asks the engine's one
+onto-certificate, `Cohomology.onto_certificate`, with that line sum.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import numpy as np
 from .forms import Form
 from .graded import GradedMatrix
 from .modp import rank, zeros
+from .sheaves import Cohomology, LineSum
 
 
 def ideal_piece_rows(gens: list[Form], d: int) -> np.ndarray:
@@ -25,10 +25,6 @@ def ideal_piece_rows(gens: list[Form], d: int) -> np.ndarray:
     row = GradedMatrix.row(gens[0].nvars, [-f.degree for f in gens], 0, gens,
                            gens[0].p)
     return row.graded_piece(d).T
-
-
-def ideal_piece_dim(gens: list[Form], d: int, p: int) -> int:
-    return rank(ideal_piece_rows(gens, d), p)
 
 
 def ideal_pieces_equal(gens_a: list[Form], gens_b: list[Form], degree_bound: int,
@@ -47,24 +43,10 @@ def ideal_pieces_equal(gens_a: list[Form], gens_b: list[Form], degree_bound: int
 
 
 def epi_certificate(m: GradedMatrix, max_degree: int | None = None) -> tuple[bool, int | None]:
-    """Certify surjectivity of a map of line-bundle sums.
-
-    Returns (True, d) with the smallest d in [g, max_degree] whose graded
-    piece has full row rank, g = -min(m.tgt), or (False, None).  The
-    default max_degree is g + B, B = max(2 (max src - min tgt) + 2, 8), so
-    no verdict of a maximal-minor search up to degree B is lost: if that
-    ideal holds every form of degree e, it annihilates the cokernel
-    (Fitting), and degree g + e certifies.  A zero row leaves its summand
-    O(b_i) in the cokernel, so such a map is rejected before any piece.
-    """
-    if any(all(f.is_zero() for f in row) for row in m.entries):
-        return False, None
-    g = -min(m.tgt, default=0)
-    if max_degree is None:
-        spread = max(m.src, default=0) + g
-        max_degree = g + max(2 * spread + 2, 8)
-    for d in range(g, max_degree + 1):
-        piece = m.graded_piece(d)
-        if rank(piece, m.p) == piece.shape[0]:
-            return True, d
-    return False, None
+    """Certify surjectivity of a map of line-bundle sums: (True, d) with the
+    smallest d in [g, max_degree] whose graded piece has full row rank,
+    g = -min(m.tgt), or (False, None).  The default max_degree is that of
+    `Cohomology.onto_certificate`."""
+    target = LineSum.make(m.nvars, m.tgt, m.p)
+    cert = Cohomology(m.p).onto_certificate(m, target, max_degree)
+    return (True, cert[0]) if cert else (False, None)

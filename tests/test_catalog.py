@@ -3,12 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from pnbundles import chern
+from pnbundles import chern, forms, sheaves
 from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                parse_node, serialize_catalog, verify_all,
                                verify_entry)
 from pnbundles.catalog_entries import build_catalog
-from pnbundles.sheaves import Cohomology, KerNode, QuotNode
+from pnbundles.sheaves import Cohomology, KerNode, LineSum, QuotNode
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "catalog" / "catalog.json"
 
@@ -106,21 +106,22 @@ def test_verify_report_shape(catalog):
     assert "2/2 entries verified" in text
 
 
-def test_sampled_fibers_only_for_kernel_carried_targets(catalog, monkeypatch):
-    # every map of line sums is certified by graded pieces; only kernel
-    # maps onto a target carried by a kernel node still sample fibers
-    sampled = []
-    check_fibers = Cohomology._check_fibers
-
-    def spy(self, node, want, message):
-        sampled.append(node)
-        return check_fibers(self, node, want, message)
-
-    monkeypatch.setattr(Cohomology, "_check_fibers", spy)
-    rep = verify_all(catalog, trials=10, seed=1)
-    assert all(e.error is None for e in rep.entries)
-    assert sampled
-    for node in sampled:
-        assert isinstance(node, KerNode)
-        carrier = node.target.inner if isinstance(node.target, QuotNode) else node.target
-        assert isinstance(carrier, KerNode)
+def test_certification_never_samples(catalog, monkeypatch):
+    # every kernel and quotient node of the shipped catalog is proved by
+    # one onto-certificate (d, reg): a twist d at or above the target's
+    # regularity reg; no fiber is evaluated and no point is drawn
+    calls = []
+    monkeypatch.setattr(sheaves, "fiber_ranks", lambda *a: calls.append("fiber_ranks"))
+    monkeypatch.setattr(forms, "random_points",
+                        lambda *a, **k: calls.append("random_points"))
+    eng = Cohomology(catalog["prime"])
+    for e in catalog["entries"]:
+        if "construction" in e:
+            eng.certify(parse_node(e["construction"], e["n"] + 1, catalog["prime"]))
+    assert calls == []
+    certs = {node: c for node, c in eng._cert.items() if isinstance(node, (KerNode, QuotNode))}
+    assert all(d >= reg for d, reg in certs.values())
+    # the four kernels onto a node other than a line sum, once sampled
+    onto_nodes = [c for node, c in certs.items()
+                  if isinstance(node, KerNode) and not isinstance(node.target, LineSum)]
+    assert len(onto_nodes) == 4 and any(isinstance(node, QuotNode) for node in certs)

@@ -5,7 +5,7 @@ import pytest
 
 from pnbundles.forms import Form, monomial_basis, random_points, space_dim
 from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix
-from pnbundles.idealtests import epi_certificate, ideal_piece_dim
+from pnbundles.idealtests import epi_certificate, ideal_piece_rows
 from pnbundles.modp import MAX_PRIME, batched_rank, kernel_basis, rank
 
 P = 32003
@@ -185,7 +185,7 @@ def _minor_ideal_certificate(m):
         return False, None
     bound = max(2 * (max(m.src) - min(m.tgt)) + 2, 8)
     for e in range(min(f.degree for f in minors), bound + 1):
-        if ideal_piece_dim(minors, e, m.p) == space_dim(m.nvars, e):
+        if rank(ideal_piece_rows(minors, e), m.p) == space_dim(m.nvars, e):
             return True, e
     return False, None
 
@@ -292,7 +292,7 @@ def test_epi_certificate_starts_at_top_generator_degree_without_zero_rows():
     assert epi_certificate(m, max_degree=12) == (False, None)
 
 
-def test_ideal_piece_dim():
+def test_ideal_piece_rows():
     gens = [X[0], X[1]]
     # degree-2 piece of (x0, x1) on P^3: x0*S1 + x1*S1 has dimension 7
-    assert ideal_piece_dim(gens, 2, P) == 7
+    assert rank(ideal_piece_rows(gens, 2), P) == 7

@@ -7,7 +7,7 @@ from pnbundles import sheaves
 from pnbundles.catalog import load_catalog, parse_node
 from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
-from pnbundles.forms import Form, random_points
+from pnbundles.forms import Form, monomial_basis, random_points
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import rank
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
@@ -273,21 +273,23 @@ def test_non_mono_quotient_rejected(eng):
 
 def test_kernel_not_onto_kernel_target_rejected(eng):
     # the Koszul columns x_j e_0 - x_0 e_j (j = 1, 2, 3) land in
-    # Omega(1) = ker(x0..x3) and span it exactly off x0 = 0, where
-    # (0, 1, 0, 0) is the first sample point
+    # Omega(1) = ker(x0..x3) and span it exactly off x0 = 0.  h^0(Omega(1))
+    # = 0, so the map is onto sections at d = 0; Omega(1) is 1-regular but
+    # not 0-regular (h^1(Omega) = 1), so d = 0 proves nothing
     omega = ker_node(GradedMatrix.row(4, (0,) * 4, 1, X))
     z = Form.zero(4, 1)
     cols = [[X[j] if i == 0 else -X[0] if i == j else z for j in (1, 2, 3)]
             for i in range(4)]
     node = ker_node(GradedMatrix.make(4, (-1,) * 3, (0,) * 4, cols), omega)
     with pytest.raises(CertificationError,
-                       match=r"not onto the target at sample point \(0, 1, 0, 0\)$"):
+                       match=r"^map is not onto the target \(no graded piece at or above "
+                             r"the target's regularity is onto its sections\)$"):
         eng.values(node, 0)
 
 
 def test_kernel_not_onto_quotient_target_rejected(eng):
     # e1, e2, e3 span O^4 modulo the Euler vector (x0..x3) exactly off
-    # x0 = 0, so [e1 e2 e3 | euler] is not onto O^4
+    # x0 = 0, so they are not onto the tangent bundle
     euler = GradedMatrix.column(4, -1, (0,) * 4, X)
     tangent = quot_node(euler, LineSum.make(4, (0,) * 4))
     units = [[1 if i == j else 0 for j in (1, 2, 3)] for i in range(4)]
@@ -295,9 +297,30 @@ def test_kernel_not_onto_quotient_target_rejected(eng):
                                       [[str(c) for c in row] for row in units]),
                     tangent)
     with pytest.raises(CertificationError,
-                       match=r"^map is not onto the quotient "
-                             r"\(no graded piece has full row rank\)$"):
+                       match=r"^map is not onto the quotient \(no graded piece at or above "
+                             r"the target's regularity is onto its sections\)$"):
         eng.values(node, 0)
+
+
+def test_onto_certificate_needs_exact_h0():
+    # the six sections of Omega(2) generate it and certify at (d, reg) =
+    # (1, 1); with every h^0 cell of Omega(1) widened to an interval that
+    # contains it, no twist proves the same map onto
+    omega = ker_node(GradedMatrix.row(4, (0,) * 4, 1, X))
+    node = ker_node(Cohomology().h0_basis(omega, 1), omega)
+    assert Cohomology().onto_certificate(node.matrix, omega) == (1, 1)
+    eng2 = Cohomology()
+    real = eng2.strands
+
+    def widened(q, l):
+        rec = real(q, l)
+        if q != omega:
+            return rec
+        return Strands(((0, rec.cells[0]),) + rec.cells[1:], lambda: rec.h0, lambda: rec.hn)
+
+    eng2.strands = widened
+    with pytest.raises(CertificationError, match=r"^map is not onto the target "):
+        eng2.certify(node)
 
 
 def test_indeterminate_cells_are_intervals():
@@ -467,6 +490,81 @@ def test_fibers_match_per_point_reference():
     assert list(fiber_dims(whole, len(pts), ev, P)) == [_ref_dim(whole, x) for x in pts]
 
 
+# -- the onto-certificate for nodes against every rational point ------------
+
+def _plane_points(q):
+    """Every F_q-point of P^2, normalized."""
+    return np.array([(1, a, b) for a in range(q) for b in range(q)]
+                    + [(0, 1, b) for b in range(q)] + [(0, 0, 1)], dtype=np.int64)
+
+
+def _random_form(rng, q, d):
+    return Form.make(3, d, {e: int(rng.integers(0, q)) for e in monomial_basis(3, d)}, q)
+
+
+def _certified_target(eng, rng, q, kind):
+    """A random rank-2 node on P^2 that certifies: the kernel of three
+    linear forms O^3 -> O(1), or O^3 modulo a column O(-1) -> O^3."""
+    while True:
+        forms = [_random_form(rng, q, 1) for _ in range(3)]
+        node = (ker_node(GradedMatrix.row(3, (0,) * 3, 1, forms, q)) if kind == "ker"
+                else quot_node(GradedMatrix.column(3, -1, (0,) * 3, forms, q),
+                               LineSum.make(3, (0,) * 3, q)))
+        try:
+            eng.certify(node)
+            return node
+        except CertificationError:
+            pass
+
+
+def _map_into(eng, rng, q, target):
+    """A random map into target's ambient O^3 that lands in target: for a
+    kernel, 1-3 columns are random combinations of its sections at twist
+    1 and 0-1 at twist 2; for a quotient, 2-4 columns from O(-1) or O,
+    each entry zero with probability 0.3."""
+    if isinstance(target, QuotNode):
+        src = rng.integers(-1, 1, int(rng.integers(2, 5)))
+        return GradedMatrix.make(3, src, (0,) * 3, [
+            [Form.zero(3, -int(a), q) if rng.random() < 0.3 else _random_form(rng, q, -int(a))
+             for a in src] for _ in range(3)], q)
+    parts = []
+    for a, k in ((1, int(rng.integers(1, 4))), (2, int(rng.integers(0, 2)))):
+        sections = eng.h0_basis(target, a).graded_piece(a)
+        combos = rng.integers(0, q, (k, sections.shape[1])) @ sections.T % q
+        if k:
+            parts.append(GradedMatrix.from_piece(3, (0,) * 3, a, combos, q).dual())
+    return (parts[0].stack(parts[1]) if len(parts) == 2 else parts[0]).dual()
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("kind", ["ker", "quot"])
+def test_onto_certificate_against_every_point(q, kind):
+    # a certificate for a kernel map onto a kernel or a quotient of a line
+    # sum while the map drops rank at some F_q-point is a bug
+    rng = np.random.default_rng(100 * q + len(kind))
+    eng = Cohomology(q)
+    pts = _plane_points(q)
+    counts = {"certified": 0, "drops": 0}
+    for _ in range(40):
+        target = _certified_target(eng, rng, q, kind)
+        m = _map_into(eng, rng, q, target)
+        if m.ncols < 2:
+            continue
+        node = ker_node(m, target)
+        ranks = fiber_ranks(node, len(pts), lambda g: g.evaluate(pts), q)
+        drops = bool((ranks != 2).any())
+        counts["drops"] += drops
+        try:
+            eng.certify(node)
+        except CertificationError:
+            continue
+        counts["certified"] += 1
+        assert not drops, m
+        d, reg = eng._cert[node]
+        assert d >= reg
+    assert counts["certified"] > 0 and counts["drops"] > 0, counts
+
+
 # -- the regularity rule and lazy models --------------------------------------
 # K = ker(F -> G) at l: if h^i(K(l - i)) is an exact 0 for i = 1..n in
 # records already held, K is l-regular, h^1(K(l)) = 0, and (with h^0(G(l))
@@ -483,20 +581,6 @@ def catalog_node(entry_id):
 def catalog_constructions():
     return [(e["id"], catalog_node(e["id"])) for e in CATALOG["entries"]
             if "construction" in e]
-
-
-def walk_down(eng, node, twists):
-    """Records of node at twists, in that order, with every kernel's
-    records computed in the same order: a dual's inner node is walked at
-    the Serre-dual twists, reversed, and a sum's parts one by one."""
-    n = nvars_of(node) - 1
-    if isinstance(node, DualNode):
-        walk_down(eng, node.inner, [-l - n - 1 for l in reversed(twists)])
-    elif isinstance(node, SumNode):
-        for q in node.parts:
-            walk_down(eng, q, twists)
-    for l in twists:
-        eng.values(node, l)
 
 
 def counting_rule(eng):
@@ -524,27 +608,28 @@ def same_model(a, b):
 
 
 def test_regularity_rule_matches_records_without_it():
-    # the catalog window walked upward (the rule fires) against a fresh
-    # engine walked downward (it cannot): same keys, same cells, and every
+    # the catalog window with the rule against a fresh engine with the rule
+    # switched off (certificates walk targets upward, so walk order alone
+    # no longer keeps it from firing): same keys, same cells, and every
     # model, forced afterwards, equal entry for entry
     total = 0
     for entry_id, node in catalog_constructions():
         window = list(default_window(nvars_of(node) - 1))
-        up, down = Cohomology(CATALOG["prime"]), Cohomology(CATALOG["prime"])
-        fired_up, fired_down = counting_rule(up), counting_rule(down)
-        up.table(node, window)
-        walk_down(down, node, window[::-1])
-        assert fired_down == [], entry_id
-        total += len(fired_up)
-        assert up._strands.keys() == down._strands.keys(), entry_id
-        for key, rec in up._strands.items():
-            assert rec.cells == down._strands[key].cells, (entry_id, key)
-        for key, rec in up._strands.items():
-            ref = down._strands[key]
+        on, off = Cohomology(CATALOG["prime"]), Cohomology(CATALOG["prime"])
+        fired = counting_rule(on)
+        off._regular_at = lambda node, l: False
+        on.table(node, window)
+        off.table(node, window)
+        total += len(fired)
+        assert on._strands.keys() == off._strands.keys(), entry_id
+        for key, rec in on._strands.items():
+            assert rec.cells == off._strands[key].cells, (entry_id, key)
+        for key, rec in on._strands.items():
+            ref = off._strands[key]
             assert same_model(rec.h0, ref.h0), (entry_id, key, "h0")
             assert same_model(rec.hn, ref.hn), (entry_id, key, "hn")
-        if up.strands(node, 0).h0 is not None:
-            got, want = up.h0_basis(node, 0), down.h0_basis(node, 0)
+        if on.strands(node, 0).h0 is not None:
+            got, want = on.h0_basis(node, 0), off.h0_basis(node, 0)
             assert got.ncols == want.ncols, entry_id
             a, b = got.graded_piece(0), want.graded_piece(0)
             assert a.shape == b.shape and np.array_equal(a, b), entry_id
