@@ -82,6 +82,12 @@ def _parse_window(text):
         raise InputError(f"bad window {text!r}, expected LO:HI") from None
 
 
+def _check_trials(trials):
+    """A sampled verdict rests on at least one sampled point."""
+    if trials < 1:
+        raise InputError(f"--trials must be at least 1, got {trials}")
+
+
 def _points_from_file(path):
     data = _load_json(path)
     pts = data["points"] if isinstance(data, dict) else data
@@ -129,6 +135,7 @@ def cmd_coh(args):
 
 
 def cmd_gg(args):
+    _check_trials(args.trials)
     node, n = _node_from_file(args.node, args.prime)
     hint_lines = [_parse_line(t, n + 1, args.prime) for t in args.hint_line or []]
     verdict = is_globally_generated(node, trials=args.trials, seed=args.seed,
@@ -265,6 +272,7 @@ def cmd_liaison(args):
 def cmd_catalog(args):
     if args.action != "verify":
         raise InputError(f"unknown catalog action {args.action!r}")
+    _check_trials(args.trials)
     path = args.file or DEFAULT_CATALOG
     catalog = cat.load_catalog(path)
     report = cat.verify_all(catalog, trials=args.trials, seed=args.seed,

@@ -444,11 +444,15 @@ def normalize_points(pts, p: int = DEFAULT_PRIME) -> np.ndarray:
 
 
 def random_points(nvars: int, count: int, seed: int,
-                  p: int = DEFAULT_PRIME) -> list[tuple[int, ...]]:
-    """Deterministic sample of projective points, uniform over P^{nvars-1}(F_p)."""
+                  p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Deterministic sample of projective points, uniform over
+    P^{nvars-1}(F_p): a (count, nvars) int64 array, each row scaled as
+    `normalize_points` does.  count may be 0, not negative."""
+    if count < 0:
+        raise ValueError(f"cannot sample {count} points")
     rng = np.random.default_rng(seed)
     pts = np.zeros((0, nvars), dtype=np.int64)
     while pts.shape[0] < count:
         block = rng.integers(0, p, size=(count, nvars))
         pts = np.concatenate([pts, block[block.any(axis=1)]])
-    return [tuple(r) for r in normalize_points(pts[:count], p).tolist()]
+    return normalize_points(pts[:count], p)

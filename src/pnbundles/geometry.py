@@ -185,10 +185,10 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
                              witness_line=line, witness_splitting=st)
 
     secs = eng.h0_basis(node, 0)
-    hints = np.array(hint_points, dtype=np.int64).reshape(len(hint_points), nv)
-    pts = np.concatenate([normalize_points(hints, p),
-                          np.array(random_points(nv, trials, seed, p),
-                                   dtype=np.int64).reshape(-1, nv)])
+    pts = random_points(nv, trials, seed, p)
+    if len(hint_points):
+        hints = np.array(hint_points, dtype=np.int64).reshape(len(hint_points), nv)
+        pts = np.concatenate([normalize_points(hints, p), pts])
     return _sampled_verdict(node, secs, r, pts, trials, seed, p)
 
 
@@ -217,8 +217,7 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     expected_rank at every sample (degenerate points are failures).
     """
     nv = matrix.nvars
-    pts = np.array(random_points(nv, trials, seed, p),
-                   dtype=np.int64).reshape(-1, nv)
+    pts = random_points(nv, trials, seed, p)
     secs = GradedMatrix.from_piece(nv, matrix.src, 0,
                                    kernel_basis(matrix.graded_piece(0), p), p)
     return _sampled_verdict(ker_node(matrix), secs, expected_rank, pts,

@@ -29,6 +29,16 @@ class GradedMatrix:
     entries: tuple  # tuple of rows, each a tuple of Form
     p: int = DEFAULT_PRIME
 
+    def __hash__(self) -> int:
+        """The hash of the fields, which walks every Form, computed once:
+        nodes and cache keys hash their matrices on every lookup."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, self.src, self.tgt, self.entries, self.p))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @staticmethod
     def make(nvars: int, src, tgt, entries, p: int = DEFAULT_PRIME) -> "GradedMatrix":
         check_prime(p)

@@ -8,9 +8,14 @@ There is one elimination, `_eliminate`: Gauss-Jordan on sparse rows
 (`_SparseRows`), handed to a dense int64 loop once the input or its
 fill-in reaches DENSE_FILL.  An input that finishes sparse is made dense
 only by the callers that need its whole echelon form: `rref`, `solve` and
-the shared rows of `batched_rank`.  `rank` and `extend_to_complement`
+the shared rows of `_clear_shared`.  `rank` and `extend_to_complement`
 (full space) read its pivot columns, and `kernel_basis` fills its basis
 from the sparse pivot rows.
+
+`batched_rank` and `relative_rank` share one reduction, `_clear_shared`:
+the rows of a stack that are equal in every matrix are eliminated once,
+and only the residual of the other rows (and, for `relative_rank`, of the
+rows taken modulo) is eliminated per matrix.
 
 The default field is F_32003; p must be an odd prime of at most MAX_PRIME
 (< 2**25).  The sparse stage of `rref` and `extend_to_complement` compute
@@ -25,7 +30,7 @@ innermost, so every step is a reduction or an update across the
 contiguous batch.  A sum of products of residues is reduced every
 MAX_TERMS terms (`matmul_mod`), and MAX_TERMS * (p-1)**2 + p < 2**63 sets
 MAX_PRIME.  Its callers are `GradedMatrix.evaluate` (monomial values
-times coefficient vectors, section matrices included) and `batched_rank`,
+times coefficient vectors, section matrices included) and `_clear_shared`,
 whose product clears the pivot columns of the rows shared by the whole
 stack from the other rows of every matrix (one term per shared pivot).
 """
@@ -98,7 +103,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     R is the dense form of `_eliminate`'s result.  It is built only where
     a caller needs all of it: here, in `solve`, and for the shared rows of
-    `batched_rank`.  `rank`, `kernel_basis` and `extend_to_complement`
+    `_clear_shared`.  `rank`, `kernel_basis` and `extend_to_complement`
     (full space) use `_eliminate` directly and never densify an input
     that finishes on the sparse stage.
     """
@@ -346,34 +351,56 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     Vectorized Gaussian elimination across the batch; intended for m, n
     up to a few dozen (point-evaluation fibers, tiny field tables).  Rows
     that are equal, as integers, in every matrix (constant sections of a
-    trivial bundle) are reduced once by `rref`, to rank rho with pivot
-    columns P; the other rows of every matrix lose their P entries in one
-    batched product (`matmul_mod`), and only that residual is eliminated
-    per matrix.
+    trivial bundle) are reduced once (`_clear_shared`), and only the
+    residual of the other rows is eliminated per matrix.
     The elimination runs along the shorter side, without row swaps or
     inverses (see the module docstring); the caller's array is not
     modified.
     """
     a = np.asarray(stack, dtype=np.int64)
-    shared = _shared_rows(a)
-    if not shared.any():
-        return _batched_rank(a, p)
-    r, piv = rref(a[0, shared], p)
-    rest = _reduce(a[:, ~shared], p)  # a copy
-    free = np.ones(a.shape[2], dtype=bool)
-    free[piv] = False
-    acc = matmul_mod(rest[:, :, piv], r[:len(piv)][:, free], p)
-    return len(piv) + _batched_rank(rest[:, :, free] - acc, p)
+    rho, rest = _clear_shared(a, a[:, :0], p)
+    return rho + _batched_rank(rest, p)
 
 
 def relative_rank(stack: np.ndarray, sub: np.ndarray, p: int) -> np.ndarray:
     """Ranks of the rows of each stack[k] modulo the row span of sub[k],
     rank([stack[k]; sub[k]]) - rank(sub[k]), for stacks (N, m, n) and
-    (N, k, n) -> (N,)."""
-    if sub.shape[1] == 0:
-        return batched_rank(stack, p)
-    both = np.concatenate([stack, sub], axis=1)
-    return batched_rank(both, p) - batched_rank(sub, p)
+    (N, k, n) -> (N,).  The shared rows of stack are reduced once, and
+    only its other rows and the rows of sub are stacked and eliminated;
+    neither input is modified."""
+    a = np.asarray(stack, dtype=np.int64)
+    s = np.asarray(sub, dtype=np.int64)
+    rho, rest = _clear_shared(a, s, p)
+    out = rho + _batched_rank(rest, p)
+    if s.shape[1]:
+        out -= batched_rank(s, p)
+    return out
+
+
+def _clear_shared(a: np.ndarray, extra: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """(rho, rest) with rank([a[k]; extra[k]]) = rho + rank(rest[k]) for
+    every k, for int64 stacks a (N, m, n) and extra (N, k, n).
+
+    The rows of a that are equal in every matrix (`_shared_rows`) are
+    reduced once by `rref`, to rank rho with pivot columns P.  rest is the
+    other rows of a, then the rows of extra, each with its P entries
+    cleared by the pivot rows in one batched product (`matmul_mod`) and
+    the P columns dropped: reducing rows modulo the span of the shared
+    rows does not change the rank of the whole.  With no shared row, rest
+    is a itself when extra has no rows; a and extra are not modified.
+    """
+    shared = _shared_rows(a)
+    if not shared.any():
+        return 0, (np.concatenate([a, extra], axis=1) if extra.shape[1] else a)
+    rest = a[:, ~shared]  # a copy
+    if extra.shape[1]:
+        rest = np.concatenate([rest, extra], axis=1)
+    _reduce(rest, p)
+    r, piv = rref(a[0, shared], p)
+    free = np.ones(a.shape[2], dtype=bool)
+    free[piv] = False
+    acc = matmul_mod(rest[:, :, piv], r[:len(piv)][:, free], p)
+    return len(piv), rest[:, :, free] - acc
 
 
 def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:

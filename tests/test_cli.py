@@ -139,6 +139,24 @@ def test_gg_negative_exit_code(tmp_path, capsys):
     assert out["generated"] is False and out["splitting"] == [2, 2, -1]
 
 
+@pytest.mark.parametrize("trials", ["-5", "0"])
+@pytest.mark.parametrize("command", ["gg", "catalog"])
+def test_non_positive_trials_exit_code(kernel_node_file, monkeypatch, capsys,
+                                       command, trials):
+    # a sampled verdict on no sampled point is an input error, not a verdict
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with no trials")
+
+    monkeypatch.setattr("pnbundles.catalog.verify_all", no_sampling)
+    monkeypatch.setattr("pnbundles.cli.is_globally_generated", no_sampling)
+    argv = (["gg", kernel_node_file] if command == "gg"
+            else ["catalog", "verify", CATALOG])
+    assert main(argv + ["--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials must be at least 1, got {trials}" in captured.err
+
+
 def test_splits_command(tmp_path, capsys):
     node = write(tmp_path, "k.json", {
         "n": 3,

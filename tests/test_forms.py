@@ -212,7 +212,8 @@ def test_normalize_points_matches_normalize_point(p):
 def test_random_points_deterministic():
     a = random_points(4, 20, 7)
     b = random_points(4, 20, 7)
-    assert a == b
+    assert a.shape == (20, 4) and a.dtype == np.int64
+    assert np.array_equal(a, b)
     assert all(any(c for c in q) for q in a)
 
 
@@ -227,7 +228,14 @@ def test_random_points_match_scalar_normalization(nvars, count, seed, p):
     while len(ref) < count:
         ref += [normalize_point(row, p)
                 for row in rng.integers(0, p, size=(count, nvars)) if row.any()]
-    assert random_points(nvars, count, seed, p) == ref[:count]
+    got = random_points(nvars, count, seed, p)
+    assert got.shape == (count, nvars) and got.dtype == np.int64
+    assert [tuple(q) for q in got.tolist()] == ref[:count]
+
+
+def test_random_points_rejects_negative_count():
+    with pytest.raises(ValueError, match="cannot sample -1 points"):
+        random_points(3, -1, 1)
 
 
 @given(st.integers(0, 4), st.integers(0, 5))

@@ -60,8 +60,8 @@ def test_splitting_invariants_sum_and_count():
     from pnbundles.sheaves import chern_of_node
     e = k_bundle()
     for seeds in [(1, 2), (3, 4), (5, 6)]:
-        a = random_points(4, 1, seeds[0])[0]
-        b = random_points(4, 1, seeds[1])[0]
+        a = tuple(random_points(4, 1, seeds[0])[0].tolist())
+        b = tuple(random_points(4, 1, seeds[1])[0].tolist())
         try:
             line = LineParam.make(a, b)
         except ValueError:
@@ -131,7 +131,7 @@ def test_gg_reports_fiber_dimension_before_span(eng):
     q, trials, seed = 7, 60, 90021
     row = GradedMatrix.row(4, (0,) * 4, 1, ["x0+x1+x2+x3", "x0+2*x1+3*x2+5*x3",
                                             "0", "0"], q)
-    pts = np.array(random_points(4, trials, seed, q)).reshape(-1, 4)
+    pts = random_points(4, trials, seed, q)
     on_line = (pts.sum(axis=1) % q == 0) & (pts @ (1, 2, 3, 5) % q == 0)
     assert not on_line[0] and on_line.any()
     v = gg_of_raw_kernel(row, expected_rank=3, trials=trials, seed=seed, p=q)
@@ -259,7 +259,7 @@ def test_eval_sections_monomial_values_once_per_twist(monkeypatch):
     dims = [forms.space_dim(nv, a + l) for a in ambient]
     rng = np.random.default_rng(11)
     rows = rng.integers(0, P, size=(5, sum(dims)))
-    pts = np.array(random_points(nv, 30, 3, P), dtype=np.int64)
+    pts = random_points(nv, 30, 3, P)
     # the values summand by summand, as sums of products of residues
     want = np.zeros((30, 5, len(ambient)), dtype=np.int64)
     off = 0

@@ -58,13 +58,33 @@ def test_dual_involution_and_twist():
     assert m.twist(2).dual().src == (-5,)
 
 
+def test_hash_is_stored_once_and_agrees_with_equality():
+    from dataclasses import fields
+
+    from pnbundles.sheaves import LineSum, ker_node
+    a, b = mixed_row(), mixed_row()
+    assert a is not b and a == b and hash(a) == hash(b)
+    # the stored value is the dataclass hash of the fields, and no field
+    assert hash(a) == hash((a.nvars, a.src, a.tgt, a.entries, a.p))
+    assert [f.name for f in fields(a)] == ["nvars", "src", "tgt", "entries", "p"]
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
+    # a stored hash does not make unequal matrices equal
+    assert a != a.twist(1) and a.twist(1) == b.twist(1)
+    assert hash(a.twist(1)) == hash(b.twist(1))
+    # nodes built separately hash and compare equal, and find each other
+    n1 = ker_node(a, LineSum.make(4, a.tgt))
+    n2 = ker_node(b, LineSum.make(4, b.tgt))
+    assert n1 == n2 and hash(n1) == hash(n2) and {n1: 1}[n2] == 1
+
+
 def test_evaluate_and_minor_locus():
     m = GradedMatrix.make(4, (0,) * 4, (1, 1),
                           [[X[0], X[1], X[2], "0"], ["0", X[0], X[1], X[2]]])
     minors = m.maximal_minors()
     assert len(minors) == 6
     # rank drops exactly where all maximal minors vanish
-    pts = random_points(4, 200, 11) + [(0, 0, 0, 1)]
+    pts = np.vstack([random_points(4, 200, 11), [(0, 0, 0, 1)]])
+    assert pts.shape == (201, 4) and pts[-1].tolist() == [0, 0, 0, 1]
     for q, ev in zip(pts, m.evaluate(pts)):
         ev_rank = rank(ev, P)
         vanish = all(f.evaluate(q) == 0 for f in minors)

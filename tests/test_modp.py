@@ -10,7 +10,7 @@ from pnbundles.graded import GradedMatrix
 from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
                             check_prime, extend_to_complement, inv_mod,
                             is_probable_prime, kernel_basis, matmul_mod, rank,
-                            rref, solve, zeros)
+                            relative_rank, rref, solve, zeros)
 from pnbundles.sheaves import LineSum
 
 P = DEFAULT_PRIME
@@ -522,6 +522,82 @@ def test_batched_rank_eliminates_only_the_residual(monkeypatch):
     big = stack + P * rng.integers(-2**40, 2**40, size=stack.shape)
     big[:, 3:38] = stack[:, 3:38] + P * 2**40
     assert batched_rank(big, P).tolist() == batched_rank(stack, P).tolist()
+
+
+def _check_relative_rank(stack, sub, p):
+    """relative_rank equals rank([M; S]) - rank(S) of every pair (M, S),
+    by the reference elimination, and leaves both stacks intact."""
+    before = stack.copy(), sub.copy()
+    n = stack.shape[2]
+    want = [len(_ref_rref(np.vstack([a, s]).tolist(), n, p)[1])
+            - len(_ref_rref(s.tolist(), n, p)[1]) for a, s in zip(stack, sub)]
+    got = relative_rank(stack, sub, p)
+    assert got.shape == (len(stack),) and got.tolist() == want
+    assert (stack == before[0]).all() and (sub == before[1]).all()
+    return want
+
+
+def _relative_cases(rng, nbatch, m, k, n, p):
+    """(name, stack, sub) pairs: rows shared by every matrix in the stack
+    only, in sub only, in both and in neither; sub rows in the span of the
+    stack's shared rows; an all-shared stack; and an empty sub."""
+    stack = rng.integers(0, p, size=(nbatch, m, n))
+    sub = rng.integers(0, p, size=(nbatch, k, n))
+    stack[1] = _rank_deficient(rng, m, n, p)
+    sub[2] = 0
+    yield "neither", stack, sub
+    shared_stack = stack.copy()
+    shared_stack[:, 1:] = rng.integers(0, p, size=(m - 1, n))
+    yield "stack", shared_stack, sub
+    shared_sub = sub.copy()
+    shared_sub[:, :1] = rng.integers(-p * p, p * p, size=(1, n))
+    yield "sub", stack, shared_sub
+    yield "both", shared_stack, shared_sub
+    # sub rows that the stack's shared rows span, up to varying rows
+    spanned = sub.copy()
+    spanned[:, 0] = rng.integers(0, p, size=(nbatch, m - 1)) @ shared_stack[0, 1:] % p
+    yield "spanned", shared_stack, spanned
+    # every row shared, as in a trivial bundle's constant sections
+    yield "all-shared", np.broadcast_to(stack[3], stack.shape), sub
+    yield "empty sub", shared_stack, sub[:, :0]
+
+
+@pytest.mark.parametrize("p", [5, DEFAULT_PRIME, MAX_PRIME])
+@pytest.mark.parametrize("nbatch,m,k,n", [(10, 4, 4, 10), (10, 5, 3, 7),
+                                          (10, 6, 2, 4), (10, 3, 1, 3)])
+def test_relative_rank_matches_reference(p, nbatch, m, k, n):
+    rng = np.random.default_rng([p, m, k, n])
+    for name, stack, sub in _relative_cases(rng, nbatch, m, k, n, p):
+        want = _check_relative_rank(stack, sub, p)
+        if name == "empty sub":
+            assert want == batched_rank(stack, p).tolist()
+        # the strided (N, rows, n) views of evaluated (N, n, rows) values
+        # that geometry and sheaves pass in
+        t_stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+        t_sub = np.ascontiguousarray(sub.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not t_stack.flags.c_contiguous
+        assert _check_relative_rank(t_stack, t_sub, p) == want, name
+
+
+def test_relative_rank_clears_only_the_stack_shared_rows(monkeypatch):
+    # the transform-line shape: every row of the stack shared, one row of
+    # sub; only sub's row, with the shared pivot columns cleared, and then
+    # sub alone reach the kernel
+    rng = np.random.default_rng(7)
+    shared = rng.integers(0, P, size=(8, 8))
+    shared[-1] = shared[0] + shared[1]
+    stack = np.broadcast_to(shared, (30, 8, 8))
+    sub = rng.integers(0, P, size=(30, 1, 8))
+    seen = []
+    kernel = modp._batched_rank
+
+    def spy(a, p):
+        seen.append(a.shape)
+        return kernel(a, p)
+
+    monkeypatch.setattr(modp, "_batched_rank", spy)
+    assert _check_relative_rank(stack, sub, P) == [7] * 30
+    assert seen == [(30, 1, 1), (30, 1, 8)]
 
 
 def test_matmul_mod_reduces_every_max_terms(monkeypatch):

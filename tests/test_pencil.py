@@ -223,6 +223,6 @@ def test_rank_two_off_degeneracy_audit():
     m = linear_matrix_2x4(CANONICAL[7])
     minors = [f for f in m.maximal_minors() if not f.is_zero()]
     pts = random_points(4, 200, 31)
-    for q, ev in zip(pts, batched_rank(m.evaluate(pts), P)):
+    for q, ev in zip(pts.tolist(), batched_rank(m.evaluate(pts), P)):
         on_locus = all(f.evaluate(q) == 0 for f in minors)
         assert (ev < 2) == on_locus

@@ -470,7 +470,7 @@ def _fiber_nodes():
 
 
 def test_fibers_match_per_point_reference():
-    pts = np.concatenate([np.array(random_points(4, 12, 5, P), dtype=np.int64),
+    pts = np.concatenate([random_points(4, 12, 5, P),
                           np.eye(4, dtype=np.int64), [[1, 1, 0, 0], [0, 1, 2, 0]]])
 
     def ev(m):
