@@ -251,6 +251,10 @@ def _verify_pencil(entry, expected, rep, p):
 
 def verify_all(catalog: dict, trials: int = 500, seed: int = 90021,
                prime: int | None = None) -> VerifyReport:
+    """Verify every entry; raises ValueError when trials < 1, with which
+    an entry without hint points would be sampled at no point."""
+    if trials < 1:
+        raise ValueError(f"a sampled verdict needs a point: trials={trials}")
     p = prime or int(catalog.get("prime", DEFAULT_PRIME))
     eng = Cohomology(p=p)
     report = VerifyReport(p, seed, trials)

@@ -19,7 +19,8 @@ from .binforms import binary_gcd_degree
 from .forms import (Form, monomial_values, normalize_point, normalize_points,
                     random_points)
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME, check_prime, kernel_basis, rank, relative_rank
+from .modp import (DEFAULT_PRIME, check_prime, kernel_basis, pivot_row_sizes,
+                   rank, relative_rank)
 from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
                       fiber_dims, fiber_quot_rows, first_failure, ker_node,
                       nvars_of, prime_of, rank_of)
@@ -171,8 +172,11 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     Every hint line is checked first through its splitting type (a
     negative summand is a proof of failure); then sections are evaluated
     at the hint points plus `trials` seeded random points and required to
-    span each fiber.
+    span each fiber.  Raises ValueError when that is no point at all.
     """
+    if trials < 1 and not len(hint_points):
+        raise ValueError(f"a sampled verdict needs a point: trials={trials} "
+                         "and no hint points")
     eng = eng or Cohomology(prime_of(node))
     p = eng.p
     nv = nvars_of(node)
@@ -215,7 +219,10 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
     and the fiber at x is the kernel of the evaluated matrix, so no epi
     certificate is needed.  The fiber dimension is required to equal
     expected_rank at every sample (degenerate points are failures).
+    Raises ValueError when trials < 1, which would sample no point.
     """
+    if trials < 1:
+        raise ValueError(f"a sampled verdict needs a point: trials={trials}")
     nv = matrix.nvars
     pts = random_points(nv, trials, seed, p)
     secs = GradedMatrix.from_piece(nv, matrix.src, 0,
@@ -233,6 +240,13 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     other points already vanish at z, that is, iff the value row of z is
     in the span of the others: iff some vector of the left kernel of the
     value matrix is nonzero at z.
+
+    That kernel, the kernel of ev^T, has one vector e_f - sum_i R[i, f]
+    e_{piv_i} per free column f of R = rref(ev^T).  A free point is in the
+    support of its own vector, and the point of pivot row i is in the
+    support of some vector iff that row has a nonzero off its pivot.  So
+    the verdict is that every pivot row of R has at least two nonzeros,
+    read off the elimination without building a kernel basis.
     """
     arr = np.array(points, dtype=np.int64)
     if len(arr) == 0:
@@ -243,7 +257,7 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     if len(set(map(tuple, arr.tolist()))) != len(arr):
         raise ValueError("points must be distinct")
     ev = monomial_values(3, d, arr, p)  # k x dim S_d
-    return bool((kernel_basis(ev.T, p) != 0).any(axis=0).all())
+    return all(n >= 2 for n in pivot_row_sizes(ev.T, p))
 
 
 def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:

@@ -6,11 +6,14 @@ read off it, so results never depend on anything but the input.
 
 There is one elimination, `_eliminate`: Gauss-Jordan on sparse rows
 (`_SparseRows`), handed to a dense int64 loop once the input or its
-fill-in reaches DENSE_FILL.  An input that finishes sparse is made dense
+fill-in reaches DENSE_FILL.  A tiny input, or a tiny block left at a
+hand-off (at most TINY_CELLS cells), stays on the sparse stage to the
+end, whatever its fill: there the dense loop's numpy calls per column cost
+more than the Python ints.  An input that finishes sparse is made dense
 only by the callers that need its whole echelon form: `rref`, `solve` and
 the shared rows of `_clear_shared`.  `rank` and `extend_to_complement`
-(full space) read its pivot columns, and `kernel_basis` fills its basis
-from the sparse pivot rows.
+(full space) read its pivot columns, `pivot_row_sizes` the sizes of its
+pivot rows, and `kernel_basis` fills its basis from the sparse pivot rows.
 
 `batched_rank` and `relative_rank` share one reduction, `_clear_shared`:
 the rows of a stack that are equal in every matrix are eliminated once,
@@ -23,11 +26,12 @@ with Python ints and are exact for any p.  The dense stage of `rref` and
 `batched_rank` need p**2 < 2**63: `batched_rank` never inverts, and
 updates each row as piv * row - f * pivot_row with piv, f and the entries
 in [0, p), so its intermediates stay within [-(p-1)**2, (p-1)**2].  Its
-elimination therefore runs in the smallest word that holds them: int32
-when (p-1)**2 < 2**31 (p <= 46337, which covers F_5 and F_32003), int64
-above.  It works on one (n, m, N) copy of an (N, m, n) stack, the batch
-innermost, so every step is a reduction or an update across the
-contiguous batch.  A sum of products of residues is reduced every
+elimination therefore runs in the smallest signed word that holds them
+(and the multiples of p, down to -p*(p-1), that reduction subtracts):
+int8 for p <= 11 (F_5), int16 for p <= 181, int32 for p <= 46337
+(F_32003), int64 above.  It works on one (n, m, N) copy of an (N, m, n)
+stack, the batch innermost, so every step is a reduction or an update
+across the contiguous batch.  A sum of products of residues is reduced every
 MAX_TERMS terms (`matmul_mod`), and MAX_TERMS * (p-1)**2 + p < 2**63 sets
 MAX_PRIME.  Its callers are `GradedMatrix.evaluate` (monomial values
 times coefficient vectors, section matrices included) and `_clear_shared`,
@@ -47,8 +51,11 @@ MAX_PRIME = 33554393  # the largest prime below 2**25
 MAX_TERMS = 2**12
 
 # `rref` eliminates on the int64 array once the rows that are not yet
-# pivot rows hold at least this share of nonzeros in the block they span.
+# pivot rows hold at least this share of nonzeros in the block they span,
+# unless that block has at most TINY_CELLS cells: below that size the
+# per-column numpy calls of the dense loop cost more than the Python ints.
 DENSE_FILL = 0.1
+TINY_CELLS = 64
 
 
 def is_probable_prime(n: int) -> bool:
@@ -117,14 +124,15 @@ def _eliminate(mat: np.ndarray, p: int) -> _SparseRows | tuple[np.ndarray, list[
     """The elimination behind `rref`: the finished `_SparseRows` when every
     column was done on the sparse stage, else the dense (R, pivots).
 
-    A sparse input is first eliminated on `_SparseRows`, pivoting each
-    column on the unused row with the fewest nonzeros; once fill-in makes
-    the unused rows DENSE_FILL dense (or the input is), `_dense_rref`
+    A sparse or tiny input is first eliminated on `_SparseRows`, pivoting
+    each column on the unused row with the fewest nonzeros; once fill-in
+    makes the unused rows DENSE_FILL dense in a block of more than
+    TINY_CELLS cells (or the input is such a block), `_dense_rref`
     finishes.  The form is unique, so pivot choices do not show.
     """
     a = np.asarray(mat, dtype=np.int64)
     nrows, ncols = a.shape
-    if np.count_nonzero(a) >= DENSE_FILL * a.size:
+    if a.size > TINY_CELLS and np.count_nonzero(a) >= DENSE_FILL * a.size:
         return _dense_rref(np.mod(a, p), p, 0, [])
     s = _SparseRows(a, p)
     nnz = sum(map(len, s.rows))  # of the rows not yet pivot rows
@@ -136,7 +144,8 @@ def _eliminate(mat: np.ndarray, p: int) -> _SparseRows | tuple[np.ndarray, list[
         i = min(cand, key=lambda t: (len(s.rows[t]), t))
         nnz += s.make_pivot(i, c) - len(s.rows[i])
         unused -= 1
-        if nnz >= DENSE_FILL * unused * (ncols - c - 1) > 0:
+        left = unused * (ncols - c - 1)  # cells of the block still to do
+        if left > TINY_CELLS and nnz >= DENSE_FILL * left:
             return _dense_rref(s.dense(), p, c + 1, list(s.pivot))
     return s
 
@@ -146,6 +155,16 @@ def _pivots(mat: np.ndarray, p: int) -> list[int]:
     elimination."""
     out = _eliminate(mat, p)
     return list(out.pivot) if isinstance(out, _SparseRows) else out[1]
+
+
+def pivot_row_sizes(mat: np.ndarray, p: int) -> list[int]:
+    """The number of nonzeros of each pivot row of rref(mat, p), in pivot
+    order, without densifying a sparse elimination."""
+    out = _eliminate(mat, p)
+    if isinstance(out, _SparseRows):
+        return [len(out.rows[t]) for t in out.pivot.values()]
+    r, pivots = out
+    return np.count_nonzero(r[:len(pivots)], axis=1).tolist()
 
 
 def _dense_rref(r: np.ndarray, p: int, col: int,
@@ -189,12 +208,17 @@ class _SparseRows:
         self.used: set[int] = set()
         self.rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
         self.cols: list[set[int]] = [set() for _ in range(a.shape[1])]
-        flat = a.ravel()
-        at = np.flatnonzero(flat)  # faster than np.nonzero(a)
-        v = flat[at] % p
-        nz = v != 0
-        i, j = np.divmod(at[nz], a.shape[1])
-        for t, k, x in zip(i.tolist(), j.tolist(), v[nz].tolist()):
+        if a.size <= TINY_CELLS:  # fewer Python steps than numpy calls
+            entries = ((t, k, x) for t, row in enumerate(a.tolist())
+                       for k, v in enumerate(row) if (x := v % p))
+        else:
+            flat = a.ravel()
+            at = np.flatnonzero(flat)  # faster than np.nonzero(a)
+            v = flat[at] % p
+            nz = v != 0
+            i, j = np.divmod(at[nz], a.shape[1])
+            entries = zip(i.tolist(), j.tolist(), v[nz].tolist())
+        for t, k, x in entries:
             self.rows[t][k] = x
             self.cols[k].add(t)
 
@@ -437,9 +461,11 @@ def _batched_rank(a: np.ndarray, p: int) -> np.ndarray:
     nbatch, m, n = a.shape
     if a.size and (a.min() < 0 or a.max() >= p):
         a = np.mod(a, p)
-    # column c of every matrix is cols[c], an (m, N) block; int32 holds
-    # the intermediates, within [-(p-1)**2, (p-1)**2], iff (p-1)**2 < 2**31
-    word = np.int32 if (p - 1) ** 2 < 2**31 else np.int64
+    # column c of every matrix is cols[c], an (m, N) block, in the smallest
+    # signed word that holds +-p * (p - 1) (see the module docstring)
+    word = next(w for w, top in ((np.int8, 2**7), (np.int16, 2**15),
+                                 (np.int32, 2**31), (np.int64, 2**63))
+                if p * (p - 1) < top)
     cols = a.transpose(2, 1, 0).astype(word, order="C")
     # the first candidate row of a column weighs most: it is the pivot
     weights = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]

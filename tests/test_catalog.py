@@ -38,6 +38,13 @@ def test_shipped_catalog_verifies_at_other_primes(catalog, prime):
     assert rep.ok, [(e.entry_id, e.error) for e in rep.entries if not e.ok]
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_all_rejects_zero_sample_points(catalog, trials):
+    # entries without hint points would be sampled at no point
+    with pytest.raises(ValueError, match="needs a point"):
+        verify_all(catalog, trials=trials)
+
+
 def test_verify_entry_builds_rr_polynomial_once(catalog):
     entry = next(e for e in catalog["entries"] if e["id"] == "p3-mixed-kernel")
     chern._rr_polynomial.cache_clear()

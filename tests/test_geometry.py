@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from pnbundles import geometry, modp
 from pnbundles.forms import Form, monomial_values, normalize_point, random_points
-from pnbundles.geometry import (DegenerateRestriction, LineParam,
+from pnbundles.geometry import (DegenerateRestriction, GGVerdict, LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
                                 edge_avoidance, gg_of_raw_kernel,
                                 is_globally_generated,
                                 quadric_line_component_test, reverify_witness,
                                 splitting_type_on_line)
 from pnbundles.graded import GradedMatrix
-from pnbundles.modp import rank
+from pnbundles.modp import kernel_basis, rank
 from pnbundles.sheaves import (CertificationError, Cohomology, LineSum,
                                ker_node, quot_node, rank_of, sum_node)
 
@@ -107,6 +108,29 @@ def test_gg_point_witness_is_sound(eng):
     assert reverify_witness(om1, v, eng)
 
 
+def test_gg_rejects_zero_sample_points(eng):
+    # with no sampled and no hint point, a positive verdict would rest on
+    # nothing: the twisted cotangent kernel has no sections at all
+    om1 = ker_node(GradedMatrix.row(4, (0, 0, 0, 0), 1, X))
+    euler = GradedMatrix.row(4, (0, 0, 0, 0), 1, X)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="needs a point"):
+            is_globally_generated(om1, trials=trials, eng=eng)
+        with pytest.raises(ValueError, match="needs a point"):
+            gg_of_raw_kernel(euler, expected_rank=3, trials=trials)
+
+
+def test_reverify_witness_samples_only_the_hint_point(eng):
+    om1 = ker_node(GradedMatrix.row(4, (0, 0, 0, 0), 1, X))
+    v = is_globally_generated(om1, trials=0, hint_points=[(3, 1, 4, 1)], eng=eng)
+    assert not v.generated and v.witness_point == normalize_point((3, 1, 4, 1), P)
+    assert reverify_witness(om1, v, eng)
+    e = ker_node(GradedMatrix.row(4, (2, 2, 2, 1), 3,
+                                  [X[0], X[1], X[2], X[3] * X[3]]))
+    fake = GGVerdict(False, "not-generated", 0, 1, witness_point=(1, 2, 3, 4))
+    assert not reverify_witness(e, fake, eng)
+
+
 def test_gg_quotient_node(eng):
     inc = GradedMatrix.column(4, -1, (0, 0, 0, 0), X)
     tm1 = quot_node(inc, LineSum.make(4, (0, 0, 0, 0)))
@@ -176,13 +200,24 @@ def test_cayley_bacharach_oracle_agreement_sampled():
         assert cayley_bacharach(pts, 1, p=5) == cayley_bacharach_oracle(pts, 1)
 
 
+def _kernel_basis_verdict(ev, p):
+    """The Cayley-Bacharach rule as a kernel basis states it: every point
+    is in the support of some vector of the left kernel of ev."""
+    return bool((kernel_basis(ev.T, p) != 0).any(axis=0).all())
+
+
 @pytest.mark.parametrize("p", [5, 7, 101, P])
-def test_cayley_bacharach_matches_row_deletion_ranks(p):
+def test_cayley_bacharach_matches_row_deletion_ranks(p, monkeypatch):
     # the definition: deleting any one point's value row keeps the rank
     rng = np.random.default_rng(p)
-    for d in (1, 2, 3):
+    dense_starts = []
+    dense = modp._dense_rref
+    monkeypatch.setattr(modp, "_dense_rref", lambda r, q, col, piv:
+                        dense_starts.append(col) or dense(r, q, col, piv))
+    stages = set()
+    for d in (0, 1, 2, 3):
         for _ in range(25):
-            k = int(rng.integers(1, 11))
+            k = int(rng.integers(1, 13))
             if rng.random() < 0.5:  # points on a line: CB fails or holds
                 pts = rng.integers(0, p, size=(k, 2)) @ rng.integers(0, p, size=(2, 3))
             else:
@@ -194,9 +229,30 @@ def test_cayley_bacharach_matches_row_deletion_ranks(p):
             ev = monomial_values(3, d, np.array(pts), p)
             want = all(rank(np.delete(ev, z, axis=0), p) == rank(ev, p)
                        for z in range(len(pts)))
+            assert _kernel_basis_verdict(ev, p) == want, (pts, d)
             # any nonzero multiple of each point, entries outside [0, p)
             scaled = np.array(pts) * rng.integers(1, p, size=(len(pts), 1)) - p
+            dense_starts.clear()
             assert cayley_bacharach(scaled.tolist(), d, p) == want, (pts, d)
+            stages.add("dense" if dense_starts else "sparse")
+    # the verdict was read off both stages of the elimination
+    assert stages == {"sparse", "dense"}
+
+
+def test_cayley_bacharach_builds_no_kernel_basis(monkeypatch):
+    plane = [(1, a, b) for a in range(5) for b in range(5)] + [(0, 1, 2), (0, 0, 1)]
+    cases = [(plane[:4], 1), (plane[:9], 2), (plane[::2], 3), (plane[:12], 3)]
+    want = [_kernel_basis_verdict(monomial_values(3, d, np.array(pts), 5), 5)
+            for pts, d in cases]
+
+    def refuse(*args):
+        raise AssertionError("kernel basis built")
+
+    monkeypatch.setattr(geometry, "kernel_basis", refuse)
+    monkeypatch.setattr(modp, "kernel_basis", refuse)
+    monkeypatch.setattr(modp._SparseRows, "kernel_basis", refuse)
+    monkeypatch.setattr(modp, "_free_unit_rows", refuse)
+    assert [cayley_bacharach(pts, d, 5) for pts, d in cases] == want
 
 
 def test_edge_avoidance():

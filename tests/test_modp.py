@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +11,9 @@ from pnbundles.geometry import LineParam
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import (DEFAULT_PRIME, MAX_PRIME, _reduce, batched_rank,
                             check_prime, extend_to_complement, inv_mod,
-                            is_probable_prime, kernel_basis, matmul_mod, rank,
-                            relative_rank, rref, solve, zeros)
+                            is_probable_prime, kernel_basis, matmul_mod,
+                            pivot_row_sizes, rank, relative_rank, rref, solve,
+                            zeros)
 from pnbundles.sheaves import LineSum
 
 P = DEFAULT_PRIME
@@ -209,8 +212,8 @@ def _assert_same(got, want):
 
 
 def _check_against_reference(a, space, p):
-    """rref, rank, kernel_basis and both branches of extend_to_complement
-    on `a` equal the pure-Python references; space = None skips the
+    """rref, rank, pivot_row_sizes, kernel_basis and both branches of
+    extend_to_complement on `a` equal the pure-Python references; space = None skips the
     subspace branch."""
     m, n = a.shape
     rows = a.tolist()
@@ -219,6 +222,7 @@ def _check_against_reference(a, space, p):
     assert piv == ref_piv
     _assert_same(r, _as_array(ref_r, n))
     assert rank(a, p) == len(ref_piv)
+    assert pivot_row_sizes(a, p) == [sum(map(bool, row)) for row in ref_r[:len(ref_piv)]]
     if n:
         _assert_same(kernel_basis(a, p), _as_array(_ref_kernel(rows, n, p), n))
     _assert_same(extend_to_complement(a, None, p, ncols=n),
@@ -336,6 +340,49 @@ def test_sparse_elimination_matches_reference(p):
     _check_against_reference(tall, None, p)
 
 
+def _shape_of(cells):
+    """The squarest shape with this many cells."""
+    m = max(d for d in range(1, math.isqrt(cells) + 1) if cells % d == 0)
+    return m, cells // m
+
+
+def _diagonal_with_zero_rows(rng, p, n, zeros_rows):
+    """n nonzero diagonal entries and `zeros_rows` zero rows, rows permuted.
+    After the pivot whose column leaves j later columns, the rows not yet
+    pivot rows hold j nonzeros in a block of (j + zeros_rows) * j cells:
+    at least DENSE_FILL of it first when j = 10 - zeros_rows."""
+    a = np.zeros((n + zeros_rows, n), dtype=np.int64)
+    a[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
+    return a[rng.permutation(len(a))]
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME, MAX_PRIME])
+def test_tiny_inputs_stay_on_the_sparse_stage(p, monkeypatch):
+    # inputs, and remaining blocks at a hand-off, of at most TINY_CELLS
+    # cells finish on the sparse stage, whatever their fill
+    assert modp.DENSE_FILL == 0.1  # the diagonal inputs below rely on it
+    rng = np.random.default_rng([p, 37])
+    t = modp.TINY_CELLS
+    for cells in (t - 1, t, t + 1):
+        m, n = _shape_of(cells)
+        for a in (rng.integers(1, p, size=(m, n)), _rank_deficient(rng, m, n, p),
+                  _rank_deficient(rng, n, m, p)):
+            assert _elimination_kind(a, p) == ("dense" if cells > t else "sparse")
+            _check_against_reference(a, _rank_deficient(rng, 4, a.shape[1], p), p)
+        sparse = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < 0.05)
+        assert _elimination_kind(sparse, p) == "sparse"
+        _check_against_reference(sparse, rng.integers(0, p, size=(3, n)), p)
+    # the first block that reaches DENSE_FILL has 10 * (10 - z) cells
+    for z in range(10):
+        a = _diagonal_with_zero_rows(rng, p, 12, z)
+        handoff = 10 * (10 - z) > t
+        assert _elimination_kind(a, p) == ("handoff" if handoff else "sparse")
+        _check_against_reference(a, rng.integers(0, p, size=(3, 12)), p)
+        with monkeypatch.context() as mp:  # with no tiny rule: every one
+            mp.setattr(modp, "TINY_CELLS", 0)
+            assert _elimination_kind(a, p) == "handoff"
+
+
 def test_sparse_finish_is_not_densified(monkeypatch):
     # rank, kernel_basis and the full-space complement read the finished
     # sparse rows; only rref builds the dense form
@@ -421,9 +468,9 @@ def _shared_blocks(rng, m, n, p):
                + np.triu(rng.integers(0, p, size=(n, n)), 1))
 
 
-# 46337 is the largest prime with (p-1)**2 < 2**31, where the kernel of
-# batched_rank computes in int32; from 46349, the next prime, in int64
-WORD_PRIMES = [46337, 46349, MAX_PRIME]
+# the kernel of batched_rank computes in the smallest signed word that
+# holds +-p (p - 1): the last prime of each word, then the next prime
+WORD_PRIMES = [11, 13, 181, 191, 46337, 46349, MAX_PRIME]
 
 
 @pytest.mark.parametrize("p", [3, 5, 101, DEFAULT_PRIME] + WORD_PRIMES)
@@ -467,7 +514,7 @@ def test_batched_rank_matches_reference(p, nbatch, m, n):
 @pytest.mark.parametrize("p", [5, DEFAULT_PRIME] + WORD_PRIMES)
 def test_batched_rank_kernel_word_and_layout(monkeypatch, p):
     # the kernel reduces C-contiguous (columns, rows, batch) blocks of
-    # int32 while (p-1)**2 < 2**31, of int64 above
+    # int8 up to p = 11, int16 up to 181, int32 up to 46337, int64 above
     rng = np.random.default_rng(p)
     stack = rng.integers(-p, 2 * p, size=(9, 4, 6))
     seen = []
@@ -479,7 +526,8 @@ def test_batched_rank_kernel_word_and_layout(monkeypatch, p):
 
     monkeypatch.setattr(modp, "_reduce", spy)
     ranks = modp._batched_rank(stack, p)
-    word = np.dtype(np.int32 if p <= 46337 else np.int64)
+    word = np.dtype(np.int8 if p <= 11 else np.int16 if p <= 181
+                    else np.int32 if p <= 46337 else np.int64)
     assert seen and set(seen) == {(word, True, (6, 9))}
     assert ranks.tolist() == [len(_ref_rref(a.tolist(), 6, p)[1]) for a in stack]
 
