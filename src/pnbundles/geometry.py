@@ -247,16 +247,11 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     support of some vector iff that row has a nonzero off its pivot.  So
     the verdict is that every pivot row of R has at least two nonzeros,
     read off the elimination without building a kernel basis.
+
+    Raises ValueError when p is not an odd prime, and when there is no
+    point, a point without 3 coordinates, or two equal points.
     """
-    arr = np.array(points, dtype=np.int64)
-    if len(arr) == 0:
-        raise ValueError("need at least one point")
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("points of P^2 need exactly 3 coordinates")
-    arr = normalize_points(arr, p)
-    if len(set(map(tuple, arr.tolist()))) != len(arr):
-        raise ValueError("points must be distinct")
-    ev = monomial_values(3, d, arr, p)  # k x dim S_d
+    ev = monomial_values(3, d, _plane_points(points, p), p)  # k x dim S_d
     return all(n >= 2 for n in pivot_row_sizes(ev.T, p))
 
 
@@ -265,20 +260,36 @@ def cayley_bacharach_oracle(points, d: int, q: int = 5) -> bool:
 
     Counts forms rather than dimensions; a point set satisfies the
     condition iff for each z every form through the others passes
-    through z.
+    through z.  The points and q are checked as in `cayley_bacharach`.
     """
-    pts = [normalize_point(x, q) for x in points]
-    arr = np.array(pts, dtype=np.int64)
+    arr = _plane_points(points, q)
     ev = monomial_values(3, d, arr, q)   # k x m
     vals = _all_forms(q, ev.shape[1]) @ ev.T % q  # q^m x k
     nonzero = vals != 0
     through_all = ~nonzero.any(axis=1)
-    for z in range(len(pts)):
-        others = [j for j in range(len(pts)) if j != z]
+    for z in range(len(arr)):
+        others = [j for j in range(len(arr)) if j != z]
         through_rest = ~nonzero[:, others].any(axis=1)
         if through_rest.sum() != through_all.sum():
             return False
     return True
+
+
+def _plane_points(points, p: int) -> np.ndarray:
+    """The (k, 3) int64 array of k >= 1 distinct points of P^2(F_p), each
+    scaled by `normalize_point` (a few points cost less one by one than
+    through numpy); ValueError on a modulus that is not an odd prime, on no
+    point, on a point without 3 coordinates, and on points that are
+    projectively equal."""
+    check_prime(p)
+    if len(points) == 0:
+        raise ValueError("need at least one point")
+    if any(len(x) != 3 for x in points):
+        raise ValueError("points of P^2 need exactly 3 coordinates")
+    pts = [normalize_point(x, p) for x in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("points must be distinct")
+    return np.array(pts, dtype=np.int64)
 
 
 @lru_cache(maxsize=8)

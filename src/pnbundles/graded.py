@@ -153,16 +153,26 @@ class GradedMatrix:
 
     def evaluate(self, pts) -> np.ndarray:
         """Entrywise values at points, in the standard trivialization:
-        an (npts, nvars) array of coordinates -> (npts, nrows, ncols)."""
+        an (npts, nvars) array of coordinates -> (npts, nrows, ncols).
+
+        A matrix with no nonzero entry of positive degree (the sections of
+        a trivial bundle, say) takes the same value at every point: it is
+        built once and returned as a read-only `np.broadcast_to` view, so
+        callers must not write into the result."""
         pts = np.asarray(pts, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise ValueError("wrong number of coordinates")
-        out = np.zeros((pts.shape[0], self.nrows, self.ncols), dtype=np.int64)
         by_degree: dict = {}
         for i, row in enumerate(self.entries):
             for j, f in enumerate(row):
                 if not f.is_zero():
                     by_degree.setdefault(f.degree, []).append((i, j, f))
+        if set(by_degree) <= {0}:
+            const = np.zeros((self.nrows, self.ncols), dtype=np.int64)
+            for i, j, f in by_degree.get(0, ()):
+                const[i, j] = f.coeff_vector()[0]
+            return np.broadcast_to(const, (pts.shape[0],) + const.shape)
+        out = np.zeros((pts.shape[0], self.nrows, self.ncols), dtype=np.int64)
         for d, fs in by_degree.items():
             rows, cols, forms = zip(*fs)
             coeffs = np.stack([f.coeff_vector() for f in forms], axis=1)

@@ -18,7 +18,9 @@ pivot rows, and `kernel_basis` fills its basis from the sparse pivot rows.
 `batched_rank` and `relative_rank` share one reduction, `_clear_shared`:
 the rows of a stack that are equal in every matrix are eliminated once,
 and only the residual of the other rows (and, for `relative_rank`, of the
-rows taken modulo) is eliminated per matrix.
+rows taken modulo) is eliminated per matrix.  A stack with batch stride 0
+(a constant matrix broadcast over the points by `GradedMatrix.evaluate`)
+shares every row without a scan, so its rows are reduced once by `rref`.
 
 The default field is F_32003; p must be an odd prime of at most MAX_PRIME
 (< 2**25).  The sparse stage of `rref` and `extend_to_complement` compute
@@ -438,11 +440,16 @@ def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 def _shared_rows(a: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (N, m, n) stack that are equal in every
-    matrix.  Only the rows equal in the first and last matrix, which keeps
-    the usual stack with no such row at O(m n), and the rows between them
-    are compared across the stack; the span is a view, not a copy."""
+    matrix.  A stack whose batch stride is 0 is one matrix broadcast over
+    the stack (`GradedMatrix.evaluate` of a constant matrix), so every row
+    is shared, with no scan.  Otherwise only the rows equal in the first
+    and last matrix, which keeps the usual stack with no such row at
+    O(m n), and the rows between them are compared across the stack; the
+    span is a view, not a copy."""
     if a.size == 0:
         return np.zeros(a.shape[1], dtype=bool)
+    if a.strides[0] == 0:
+        return np.ones(a.shape[1], dtype=bool)
     same = (a[0] == a[-1]).all(axis=1)
     rows = np.flatnonzero(same)
     if len(rows):
@@ -505,12 +512,16 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _pow_mod_array(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = np.mod(base, p)
-    e = exp
-    while e > 0:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
+    """base**exp mod p entrywise for an integer array and exp >= 0, as a
+    new int64 array: square and multiply, in place, by `_reduce`."""
+    b = _reduce(np.array(base, dtype=np.int64), p)
+    result = np.ones_like(b)
+    while exp:
+        if exp & 1:
+            result *= b
+            _reduce(result, p)
+        exp >>= 1
+        if exp:
+            b *= b
+            _reduce(b, p)
     return result

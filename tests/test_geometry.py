@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pnbundles import geometry, modp
-from pnbundles.forms import Form, monomial_values, normalize_point, random_points
+from pnbundles.forms import (Form, monomial_basis, monomial_values, normalize_point,
+                             random_points)
 from pnbundles.geometry import (DegenerateRestriction, GGVerdict, LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
                                 edge_avoidance, gg_of_raw_kernel,
@@ -181,6 +184,26 @@ def test_cayley_bacharach_cases():
     assert cayley_bacharach(pts4, 0)
     with pytest.raises(ValueError):
         cayley_bacharach([(1, 0, 0), (2, 0, 0)], 1)
+
+
+@pytest.mark.parametrize("q", [4, 9, 2, 1])
+def test_cayley_bacharach_rejects_moduli_that_are_not_odd_primes(q):
+    with pytest.raises(ValueError, match="odd prime"):
+        cayley_bacharach([(1, 0, 0)], 1, p=q)
+    with pytest.raises(ValueError, match="odd prime"):
+        cayley_bacharach_oracle([(1, 0, 0)], 1, q)
+
+
+def test_cayley_bacharach_oracle_checks_points_as_the_test_does():
+    for pts in ([(1, 0, 0), (2, 0, 0)], [(1, 2, 3), (6, 7, 8)], [(0, 1, 4), (0, 3, 2)]):
+        for check in (cayley_bacharach, cayley_bacharach_oracle):
+            with pytest.raises(ValueError, match="distinct"):
+                check(pts, 1, 5)
+    for pts in ([], [(1, 0)], [(1, 0, 0, 0)]):
+        for check in (cayley_bacharach, cayley_bacharach_oracle):
+            with pytest.raises(ValueError):
+                check(pts, 1, 5)
+    assert cayley_bacharach_oracle([(1, 0, 0), (0, 1, 0)], 1, 5) is False
 
 
 def test_cayley_bacharach_oracle_agreement_sampled():
@@ -377,3 +400,23 @@ def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
     monkeypatch.setattr(GradedMatrix, "evaluate", spy)
     assert is_globally_generated(node, 200, 7, eng=eng).generated
     assert len(seen) == calls + 1 == len(set(seen))
+
+
+def test_gg_of_a_trivial_quotient_broadcasts_its_sections():
+    # the transform of O(4) on P^4, O^70 / O(-4): its constant sections
+    # are evaluated once, not copied to each of the 2000 points (a 78 MB
+    # int64 stack)
+    nv = 5
+    col = GradedMatrix.column(nv, -4, (0,) * 70,
+                              [Form.monomial(nv, e) for e in monomial_basis(nv, 4)])
+    node = quot_node(col, LineSum.make(nv, (0,) * 70))
+    eng = Cohomology()
+    eng.h0_basis(node, 0)
+    tracemalloc.start()
+    try:
+        v = is_globally_generated(node, 2000, 90021, eng=eng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.generated and v.witness_point is None
+    assert peak < 16 * 2**20, peak

@@ -136,6 +136,33 @@ def test_evaluate_matches_form_evaluate(p):
         m.evaluate(pts[:, 1:])
     with pytest.raises(ValueError, match="wrong number of coordinates"):
         m.evaluate(pts[0])
+    # no nonzero entry of positive degree: one read-only matrix broadcast
+    # over the points, equal to the scalar values at each of 0, 1 or many
+    for nvars in (3, 5):
+        pts = _random_points_with_zeros(rng, nvars, p)
+        for m in _constant_matrices(rng, nvars, p):
+            for x in (pts[:0], pts[:1], pts):
+                got = m.evaluate(x)
+                assert got.shape == (len(x), m.nrows, m.ncols) and got.dtype == np.int64
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = 0
+                for y, ev in zip(x, got):
+                    assert ev.tolist() == [[f.evaluate(y) for f in row] for row in m.entries]
+
+
+def _constant_matrices(rng, nvars, p):
+    """An all-constant matrix, a constant one with zero entries of negative,
+    zero and positive degree, and an all-zero one."""
+    consts = rng.integers(1, p, size=(3, 4))
+    yield GradedMatrix.make(nvars, (1,) * 4, (1,) * 3, [
+        [Form.constant(nvars, int(c), p) for c in row] for row in consts])
+    tgt, src = (0, 1, 1), (1, 0, 1, -1)
+    yield GradedMatrix.make(nvars, src, tgt, [
+        [Form.constant(nvars, int(consts[i, j]), p) if b == a and (i + j) % 2
+         else Form.zero(nvars, max(b - a, 0), p) for j, a in enumerate(src)]
+        for i, b in enumerate(tgt)])
+    yield GradedMatrix.make(nvars, src, tgt, [["0"] * len(src)] * len(tgt), p)
 
 
 @pytest.mark.parametrize("p", [5, 32003, MAX_PRIME])

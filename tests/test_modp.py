@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -648,6 +649,45 @@ def test_relative_rank_clears_only_the_stack_shared_rows(monkeypatch):
     assert seen == [(30, 1, 1), (30, 1, 8)]
 
 
+# one prime for each word of the batched_rank kernel: int8, int16, int32, int64
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME, 65521])
+def test_broadcast_stacks_match_their_copies(p):
+    # a constant matrix broadcast over the points (batch stride 0), as
+    # GradedMatrix.evaluate returns it, and its transposed view: the ranks
+    # of a contiguous copy and of the reference elimination
+    rng = np.random.default_rng(p)
+    for m, n in [(1, 1), (3, 5), (5, 3), (6, 6), (12, 9)]:
+        for a in (rng.integers(0, p, size=(m, n)), _rank_deficient(rng, m, n, p),
+                  rng.integers(-p * p, p * p, size=(m, n)), zeros(m, n)):
+            for npts in (0, 1, 7):
+                view = np.broadcast_to(a, (npts, m, n))
+                for stack in (view, view.transpose(0, 2, 1)):
+                    copy = stack.copy()  # C-contiguous, batch stride m n
+                    assert copy.flags.c_contiguous and stack.strides[0] == 0
+                    assert copy.strides[0] != 0 or not npts
+                    want = [len(_ref_rref(a.tolist(), n, p)[1])] * npts
+                    assert batched_rank(stack, p).tolist() == want
+                    assert batched_rank(copy, p).tolist() == want
+                    for k in (0, 2):
+                        sub = rng.integers(0, p, size=(npts, k, stack.shape[2]))
+                        assert (relative_rank(stack, sub, p).tolist()
+                                == _check_relative_rank(copy, sub, p))
+
+
+def test_shared_rows_of_a_broadcast_stack_need_no_scan():
+    # every row of a batch-stride-0 stack is shared; the scan of the stack
+    # would allocate a bool per entry (2.45 MB here)
+    a = np.random.default_rng(3).integers(0, P, size=(35, 35))
+    stack = np.broadcast_to(a, (2000, 35, 35)).transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        shared = modp._shared_rows(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shared.all() and peak < 64 * 1024
+
+
 def test_matmul_mod_reduces_every_max_terms(monkeypatch):
     # 3 * MAX_TERMS products of (p-1)**2 at the largest prime overflow int64
     # unless the sum is reduced between chunks
@@ -675,3 +715,16 @@ def test_reduce_matches_mod(p):
                         np.random.default_rng(p).integers(-b, b + 1, size=5000),
                         np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])])
     assert (_reduce(x.copy(), p) == np.mod(x, p)).all()
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME, MAX_PRIME])
+def test_pow_mod_array_matches_pow(p):
+    rng = np.random.default_rng(p)
+    base = np.concatenate([np.arange(-3, 4), [p - 1, p, p + 1, -p - 1, 2 * p - 1],
+                           rng.integers(-p * p, p * p, size=200)])
+    before = base.copy()
+    for e in (0, 1, 2, 3, 10, p - 2, p - 1, 2**40 + 5):
+        got = modp._pow_mod_array(base, e, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(int(a), e, p) for a in base], e
+    assert (base == before).all()
