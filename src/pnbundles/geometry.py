@@ -308,7 +308,11 @@ def edge_avoidance(line: LineParam, z_points, p: int = DEFAULT_PRIME) -> bool:
 
     The points must span P^3 and the line must avoid them; two lines in
     P^3 meet iff the 4x4 determinant of their spanning points vanishes.
+    p must be a prime and the line's own.
     """
+    check_prime(p)
+    if p != line.p:
+        raise ValueError(f"the line is over F_{line.p}, not F_{p}")
     z = [normalize_point(q, p) for q in z_points]
     if len(z) != 4:
         raise ValueError("need exactly 4 points")

@@ -12,8 +12,12 @@ The engine keeps one record per (node, twist l), a `Strands`: the cells
 h^0..h^n of node(l), its H^0 model and its H^n model, or None for a
 model the chain cannot provide.  A record's cells are computed once, from
 the records of the node's children, and never changed.  Its models are
-built on first read, at most once; a record that had to eliminate to get
-its cells keeps the model that elimination gave at once.
+built on first read, at most once.  The H^n cells come from ranks alone
+(`map_rank`), and a model's space (`Presented`) may itself wait for its
+first read: a kernel's H^n basis is eliminated only then, and a
+quotient's or a sum's H^n space is assembled only then.  On the H^0
+strand a record that had to eliminate to get its cells keeps the model
+that elimination gave at once.
 
 Regularity rule (Castelnuovo-Mumford; Mumford, Lectures on Curves on an
 Algebraic Surface, Lecture 14): if the engine already holds the records
@@ -240,16 +244,24 @@ def chern_of_node(node) -> ChernVector:
 
 # -- presented subquotient spaces ---------------------------------------------
 
-@dataclass(frozen=True)
 class Presented:
     """A subquotient span(space)/span(quot) of a coordinate space.
 
     space is None for the full ambient space; quot is None for zero.  All
-    stored rows are over F_p.
+    stored rows are over F_p.  space may be given as a function that builds
+    it; that function runs on the first read of space, once.  quot is
+    always given built: ranks into the subquotient read only quot.
     """
-    ambient_dim: int
-    space: np.ndarray | None
-    quot: np.ndarray | None
+    __slots__ = ("ambient_dim", "_space", "quot")
+
+    def __init__(self, ambient_dim: int, space, quot: np.ndarray | None):
+        self.ambient_dim, self._space, self.quot = ambient_dim, space, quot
+
+    @property
+    def space(self) -> np.ndarray | None:
+        if callable(self._space):
+            self._space = self._space()
+        return self._space
 
     def space_rows(self) -> np.ndarray:
         if self.space is None:
@@ -296,7 +308,8 @@ def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarr
     with T x = -quot.T y, so by rank-nullity the map's rank is
     m + k - nullity - rank(quot) for m source columns and k quot rows.  The
     count uses the unprojected basis, because with dependent quot rows
-    several kernel vectors project to zero.
+    several kernel vectors project to zero.  Only target's quot is read;
+    `map_rank` gives the rank alone, with no basis.
     """
     q = target.quot_rows()
     m = T.shape[1]
@@ -307,6 +320,15 @@ def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarr
     full = kernel_basis(np.concatenate([T, q.T], axis=1), p)
     rows = full[:, :m] if full.size else zeros(0, m)
     return m + k - full.shape[0] - rank(q, p), rows
+
+
+def map_rank(T: np.ndarray, target: Presented, p: int) -> int:
+    """The rank `kernel_into` gives, rank([T | quot.T]) - rank(quot), or
+    rank(T) with no quot rows, from ranks alone: no kernel basis is built."""
+    q = target.quot_rows()
+    if q.size == 0:
+        return rank(T, p)
+    return rank(np.concatenate([T, q.T], axis=1), p) - rank(q, p)
 
 
 def block_rows(blocks, widths) -> np.ndarray:
@@ -331,7 +353,7 @@ def block_presented(parts) -> Presented | None:
         return None
     dims = [q.ambient_dim for q in parts]
     quot = block_rows([q.quot_rows() for q in parts], dims)
-    return Presented(sum(dims), block_rows([q.space_rows() for q in parts], dims),
+    return Presented(sum(dims), lambda: block_rows([q.space_rows() for q in parts], dims),
                      quot if quot.size else None)
 
 
@@ -633,8 +655,10 @@ class Cohomology:
         dim_an = T.shape[1]
         if tn is None:
             return Strands(cells + (shift_cell(tvals[n - 1], 0, dim_an),), h0, None)
-        rank_n, kern = kernel_into(T, tn, p)
-        hn = Presented(dim_an, kern, None) if tvals[n - 1] == 0 else None
+        rank_n = map_rank(T, tn, p)
+        # the kernel basis is built from m on the first read, so T is not kept
+        hn = (Presented(dim_an, lambda: kernel_into(hn_matrix(m, l), tn, p)[1], None)
+              if tvals[n - 1] == 0 else None)
         return Strands(cells + (shift_cell(tvals[n - 1], dim_an - rank_n),), h0, hn)
 
     def _quotient_strands(self, node: QuotNode, l: int) -> Strands:
@@ -663,9 +687,9 @@ class Cohomology:
             return Strands(cells + (shift_cell(ivals[n - 1], 0, dim_an),
                                     shift_cell(ivals[n], -dim_an, 0)), section_model, None)
         T = hn_matrix(m, l)
-        kerdim = dim_an - kernel_into(T, inn, p)[0]
+        kerdim = dim_an - map_rank(T, inn, p)
         new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
-        hn = Presented(inn.ambient_dim, inn.space, new_quot if new_quot.size else None)
+        hn = Presented(inn.ambient_dim, lambda: inn.space, new_quot if new_quot.size else None)
         return Strands(cells + (shift_cell(ivals[n - 1], kerdim),
                                 shift_cell(ivals[n], kerdim - dim_an)), section_model, hn)
 

@@ -292,6 +292,25 @@ def test_edge_avoidance():
                               (1, 1, 1, 0)])
 
 
+@pytest.mark.parametrize("q", [4, 9, 2, 1])
+def test_edge_avoidance_rejects_moduli_that_are_not_odd_primes(q):
+    zpts = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    line = LineParam.make((1, 2, 3, 4), (4, 1, 2, 3))
+    with pytest.raises(ValueError, match="odd prime"):
+        edge_avoidance(line, zpts, q)
+
+
+def test_edge_avoidance_needs_the_line_prime():
+    zpts = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    line = LineParam.make((1, 2, 3, 4), (4, 1, 2, 3), P)
+    with pytest.raises(ValueError, match="F_32003"):
+        edge_avoidance(line, zpts, 101)
+    small = LineParam.make((1, 2, 3, 4), (4, 1, 2, 3), 101)
+    with pytest.raises(ValueError, match="F_101"):
+        edge_avoidance(small, zpts)
+    assert edge_avoidance(line, zpts, P) and edge_avoidance(small, zpts, 101)
+
+
 def test_quadric_line_component():
     # containing a visible ruling multiple
     lam_bad = [np.array([[1, 0, 0, 0], [0, 0, 0, 0]]),

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +11,14 @@ from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
 from pnbundles.forms import Form, monomial_basis, random_points
 from pnbundles.graded import GradedMatrix
-from pnbundles.modp import rank
+from pnbundles.modp import rank, zeros
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
                                KerNode, LineSum, Presented, QuotNode, Strands,
                                SumNode, block_rows, chern_of_node,
                                default_window, fiber_dims, fiber_quot_rows,
                                fiber_ranks, is_exact_cell, ker_node,
-                               kernel_into, nvars_of, quot_node, rank_of,
-                               serre_flip, sum_node, twist_node)
+                               kernel_into, map_rank, nvars_of, quot_node,
+                               rank_of, serre_flip, sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -395,6 +397,32 @@ def test_kernel_into_rank_with_dependent_quot_rows():
     assert r0 == rank(T, P) and rows0.shape[0] == T.shape[1] - r0
 
 
+def test_map_rank_matches_kernel_into():
+    # the fixture above (repeated, zero and dependent quot rows), then
+    # seeded maps of every rank against seeded quot rows at three primes,
+    # each with quot None, empty and given
+    rng = np.random.default_rng(41)
+    T = rng.integers(0, P, size=(9, 6))
+    T[:, 5] = (T[:, 0] + 2 * T[:, 1]) % P
+    base = rng.integers(0, P, size=(3, 9))
+    q = np.concatenate([base, base[:1], np.zeros((1, 9), dtype=np.int64),
+                        (base[1:2] + base[2:3]) % P, (T[:, 2:3].T * 3) % P])
+    cases = [(T, q, P)]
+    for p in (5, 101, P):
+        rng = np.random.default_rng(p)
+        for _ in range(12):
+            rows, cols, k = (int(v) for v in rng.integers(1, 9, size=3))
+            r = int(rng.integers(0, min(rows, cols) + 1))
+            T = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols)) % p
+            q = rng.integers(0, p, size=(k, rows))
+            q[rng.integers(0, k)] = 0
+            cases.append((T, q, p))
+    for T, q, p in cases:
+        for quot in (None, zeros(0, T.shape[0]), q):
+            target = Presented(T.shape[0], None, quot)
+            assert map_rank(T, target, p) == kernel_into(T, target, p)[0], (T, quot, p)
+
+
 def test_engine_rejects_node_over_another_prime():
     node = LineSum.make(4, (1, 2), 101)
     with pytest.raises(ValueError, match="F_101"):
@@ -726,3 +754,55 @@ def test_models_are_built_on_first_read(monkeypatch):
     model = eng.h0_presented(s, 1)
     assert len(calls) == 1 and eng.h0_presented(s, 1) is model
     assert eng.h0_presented(q, 1) is eng.strands(q, 1).h0 and len(calls) == 1
+
+
+# -- the H^n strand: cells from ranks, kernel bases on first read ---------------
+
+@pytest.mark.parametrize("entry_id", ["p4-rank5-kernel-twist", "p3-kernel-onto-cotangent"])
+def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
+    # no kernel_into call of the table takes an H^n matrix; each kernel's
+    # H^n model builds its basis on the first read, with kernel_into, and
+    # keeps it; a quotient's passes on its inner node's
+    tops, calls = [], []
+    real_hn, real = sheaves.hn_matrix, sheaves.kernel_into
+    monkeypatch.setattr(sheaves, "hn_matrix",
+                        lambda m, l: tops.append(real_hn(m, l)) or tops[-1])
+    monkeypatch.setattr(sheaves, "kernel_into",
+                        lambda T, target, p: calls.append(T) or real(T, target, p))
+    node = catalog_node(entry_id)
+    eng = Cohomology(CATALOG["prime"])
+    eng.table(node, default_window(nvars_of(node) - 1))
+    assert tops and not any(T is H or (T.size and T.shape == H.shape and np.array_equal(T, H))
+                            for T in calls for H in tops)
+    held = [(nd, l) for nd, l in list(eng._strands) if eng.hn_presented(nd, l) is not None]
+    kernels = [(nd, l) for nd, l in held if isinstance(nd, KerNode)]
+    assert kernels
+    for nd, l in kernels:
+        calls.clear()
+        space = eng.hn_presented(nd, l).space
+        assert len(calls) == 1 and calls[0] is tops[-1]
+        want = real(real_hn(nd.matrix, l), eng.hn_presented(nd.target, l), eng.p)[1]
+        assert space.shape == want.shape and np.array_equal(space, want), l
+        assert eng.hn_presented(nd, l).space is space and len(calls) == 1
+    for nd, l in held:
+        if isinstance(nd, QuotNode):
+            assert eng.hn_presented(nd, l).space is eng.hn_presented(nd.inner, l).space
+
+
+def test_hn_strand_keeps_no_kernel_bases():
+    # what the engine holds after a table of the P^4 rank-5 kernel, traced
+    # as the memory freed when the engine goes; the H^n kernel bases of
+    # this table take about 7 MB, so building them with the cells fails
+    node = catalog_node("p4-rank5-kernel-twist")
+    tracemalloc.start()
+    try:
+        eng = Cohomology(CATALOG["prime"])
+        eng.table(node, default_window(4))
+        gc.collect()
+        with_engine = tracemalloc.get_traced_memory()[0]
+        del eng
+        gc.collect()
+        held = with_engine - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 2**20, held
