@@ -46,8 +46,20 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _fields(data, path, *keys):
+    """[data[key] for each key]; InputError unless data is a JSON object
+    that has them all."""
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputError(f"{path} needs the field(s) {', '.join(map(repr, missing))}")
+    return [data[k] for k in keys]
+
+
 def _node_from_file(path, prime):
     data = _load_json(path)
+    _fields(data, path)
     n = data.get("n")
     if n is None:
         raise InputError("node file needs a top-level 'n'")
@@ -90,8 +102,13 @@ def _check_trials(trials):
 
 def _points_from_file(path):
     data = _load_json(path)
-    pts = data["points"] if isinstance(data, dict) else data
-    return [tuple(int(v) for v in q) for q in pts]
+    pts = _fields(data, path, "points")[0] if isinstance(data, dict) else data
+    if not isinstance(pts, list) or not all(isinstance(q, list) for q in pts):
+        raise InputError(f"{path}: points must be a list of coordinate lists")
+    try:
+        return [tuple(int(v) for v in q) for q in pts]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad coordinate: {exc}") from None
 
 
 def cmd_chern(args):
@@ -192,6 +209,8 @@ def cmd_spectra(args):
         out["c3"] = c3_from_spectrum(s)
         print(json.dumps(out) if args.json else out)
         return 0
+    if args.c2 is None:
+        raise InputError("spectra needs --c2, or --spectrum with --h1/--h2")
     specs = enumerate_spectra(args.c2, args.kmin, args.kmax,
                               spectrum2=args.spectrum2, symmetric=args.symmetric,
                               c3_nonneg=args.c3_nonneg,
@@ -229,9 +248,12 @@ def cmd_classify_pencil(args):
 
 
 def cmd_beilinson(args):
-    data = _load_json(args.table)
-    n = int(data["n"])
-    cells = {(int(i), int(l)): int(h) for i, l, h in data["cells"]}
+    n, cells = _fields(_load_json(args.table), args.table, "n", "cells")
+    try:
+        n = int(n)
+        cells = {(int(i), int(l)): int(h) for i, l, h in cells}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{args.table}: bad n or cells: {exc}") from None
     ls = [l for (_, l) in cells]
     table = CohTable(n, min(ls), max(ls), cells)
     try:
@@ -247,11 +269,14 @@ def cmd_beilinson(args):
 
 
 def cmd_liaison(args):
-    data = _load_json(args.resolution)
-    nvars = int(data["n"]) + 1
-    terms = data["terms"]
-    diffs = [GradedMatrix.make(nvars, d["src"], d["tgt"], d["rows"], args.prime)
-             for d in data["diffs"]]
+    n, terms, diffs = _fields(_load_json(args.resolution), args.resolution,
+                              "n", "terms", "diffs")
+    try:
+        nvars = int(n) + 1
+    except (TypeError, ValueError):
+        raise InputError(f"{args.resolution}: n must be an integer, got {n!r}") from None
+    diffs = [GradedMatrix.make(nvars, *_fields(d, args.resolution, "src", "tgt", "rows"),
+                               args.prime) for d in diffs]
     res = FreeComplex.make(nvars, 0, terms, diffs, args.prime)
     a = parse_form(args.a, nvars, args.prime)
     b = parse_form(args.b, nvars, args.prime)

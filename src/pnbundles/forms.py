@@ -447,12 +447,27 @@ def random_points(nvars: int, count: int, seed: int,
                   p: int = DEFAULT_PRIME) -> np.ndarray:
     """Deterministic sample of projective points, uniform over
     P^{nvars-1}(F_p): a (count, nvars) int64 array, each row scaled as
-    `normalize_points` does.  count may be 0, not negative."""
+    `normalize_points` does.  count may be 0, not negative.
+
+    The array is read-only and shared: the last sample drawn is kept, so
+    a repeated (nvars, count, seed, p) is drawn once (a catalog verify
+    samples its entries P^n by P^n, each at the same seed).  One kept
+    sample is enough for that and holds the least memory; an empty sample
+    is not drawn, so it does not replace the kept one."""
     if count < 0:
         raise ValueError(f"cannot sample {count} points")
+    if count == 0:
+        return np.zeros((0, nvars), dtype=np.int64)
+    return _sample(nvars, count, seed, p)
+
+
+@lru_cache(maxsize=1)
+def _sample(nvars: int, count: int, seed: int, p: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     pts = np.zeros((0, nvars), dtype=np.int64)
     while pts.shape[0] < count:
         block = rng.integers(0, p, size=(count, nvars))
         pts = np.concatenate([pts, block[block.any(axis=1)]])
-    return normalize_points(pts[:count], p)
+    pts = normalize_points(pts[:count], p)
+    pts.flags.writeable = False
+    return pts

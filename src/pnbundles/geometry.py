@@ -4,7 +4,11 @@ for line systems on a smooth quadric.
 
 Negative answers always come with a witness that re-verifies
 deterministically; positive global-generation verdicts are sampled
-(trials and seed recorded in the verdict).
+(trials and seed recorded in the verdict).  The sections of a sampled
+check are evaluated from their coefficient rows (the engine's H^0 model,
+or the kernel basis of a raw matrix) by `graded.piece_values`, with no
+section matrix of forms built.  Cayley-Bacharach for k points is decided
+with no value matrix when d < 0 (true) or d >= k - 1 (false).
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ import numpy as np
 from .binforms import binary_gcd_degree
 from .forms import (Form, monomial_values, normalize_point, normalize_points,
                     random_points)
-from .graded import GradedMatrix
+from .graded import GradedMatrix, piece_values
 from .modp import (DEFAULT_PRIME, check_prime, kernel_basis, pivot_row_sizes,
                    rank, relative_rank)
-from .sheaves import (Cohomology, KerNode, LineSum, SumNode, chern_of_node,
-                      fiber_dims, fiber_quot_rows, first_failure, ker_node,
-                      nvars_of, prime_of, rank_of)
+from .sheaves import (Cohomology, KerNode, LineSum, SumNode, ambient_twists,
+                      chern_of_node, fiber_dims, fiber_quot_rows, first_failure,
+                      ker_node, nvars_of, prime_of, rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "cayley_bacharach",
@@ -148,15 +152,16 @@ class GGVerdict:
         return self.generated
 
 
-def _sampled_verdict(node, secs: GradedMatrix, r: int, pts, trials: int,
+def _sampled_verdict(node, secs: np.ndarray, r: int, pts, trials: int,
                      seed: int, p: int) -> GGVerdict:
     """The fiber of node must be r-dimensional at every point, and then
-    spanned by the sections secs; the first failing point is the witness."""
+    spanned by the sections, whose values at pts are secs, (npts, ambient
+    rank, sections); the first failing point is the witness."""
     ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
     npts = len(pts)
     x = first_failure(fiber_dims(node, npts, ev, p), r, pts)
     if x is None:
-        spans = relative_rank(ev(secs).transpose(0, 2, 1),
+        spans = relative_rank(secs.transpose(0, 2, 1),
                               fiber_quot_rows(node, npts, ev), p)
         x = first_failure(spans, r, pts)
     if x is None:
@@ -188,11 +193,12 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
             return GGVerdict(False, "not-generated", trials, seed,
                              witness_line=line, witness_splitting=st)
 
-    secs = eng.h0_basis(node, 0)
     pts = random_points(nv, trials, seed, p)
     if len(hint_points):
         hints = np.array(hint_points, dtype=np.int64).reshape(len(hint_points), nv)
         pts = np.concatenate([normalize_points(hints, p), pts])
+    secs = piece_values(nv, ambient_twists(node), 0,
+                        eng.h0_presented(node, 0).space_rows(), pts, p)
     return _sampled_verdict(node, secs, r, pts, trials, seed, p)
 
 
@@ -225,8 +231,8 @@ def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
         raise ValueError(f"a sampled verdict needs a point: trials={trials}")
     nv = matrix.nvars
     pts = random_points(nv, trials, seed, p)
-    secs = GradedMatrix.from_piece(nv, matrix.src, 0,
-                                   kernel_basis(matrix.graded_piece(0), p), p)
+    secs = piece_values(nv, matrix.src, 0, kernel_basis(matrix.graded_piece(0), p),
+                        pts, p)
     return _sampled_verdict(ker_node(matrix), secs, expected_rank, pts,
                             trials, seed, p)
 
@@ -248,10 +254,18 @@ def cayley_bacharach(points, d: int, p: int = DEFAULT_PRIME) -> bool:
     the verdict is that every pivot row of R has at least two nonzeros,
     read off the elimination without building a kernel basis.
 
+    Two cases need no value matrix.  For d < 0 there is no nonzero form,
+    so the test holds.  For d >= k - 1 it fails: the product of k - 1
+    lines, each through one other point and missing z, times a power of a
+    line missing z, vanishes on the others and not at z.
+
     Raises ValueError when p is not an odd prime, and when there is no
     point, a point without 3 coordinates, or two equal points.
     """
-    ev = monomial_values(3, d, _plane_points(points, p), p)  # k x dim S_d
+    pts = _plane_points(points, p)
+    if d < 0 or d >= len(pts) - 1:
+        return d < 0
+    ev = monomial_values(3, d, pts, p)  # k x dim S_d
     return all(n >= 2 for n in pivot_row_sizes(ev.T, p))
 
 

@@ -8,6 +8,11 @@ appear in displayed sequences; dualizing negates twists and transposes.
 graded_piece(M, l) assembles the induced linear map on degree-l global
 sections, H^0(⊕O(src+l)) → H^0(⊕O(tgt+l)), in the fixed monomial order of
 :mod:`pnbundles.forms`.
+
+Values at points go through one evaluator, `evaluate_blocks`: a matrix's
+nonzero entries by degree, one product per degree.  `GradedMatrix.evaluate`
+feeds it a matrix's forms and `piece_values` the coefficient rows of a
+degree-l piece (sections as the engine holds them), so no Form is built.
 """
 
 from __future__ import annotations
@@ -154,31 +159,18 @@ class GradedMatrix:
     def evaluate(self, pts) -> np.ndarray:
         """Entrywise values at points, in the standard trivialization:
         an (npts, nvars) array of coordinates -> (npts, nrows, ncols).
-
-        A matrix with no nonzero entry of positive degree (the sections of
-        a trivial bundle, say) takes the same value at every point: it is
-        built once and returned as a read-only `np.broadcast_to` view, so
-        callers must not write into the result."""
-        pts = np.asarray(pts, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != self.nvars:
-            raise ValueError("wrong number of coordinates")
+        A matrix with no nonzero entry of positive degree is returned as a
+        read-only broadcast view (see `evaluate_blocks`)."""
         by_degree: dict = {}
         for i, row in enumerate(self.entries):
             for j, f in enumerate(row):
                 if not f.is_zero():
                     by_degree.setdefault(f.degree, []).append((i, j, f))
-        if set(by_degree) <= {0}:
-            const = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-            for i, j, f in by_degree.get(0, ()):
-                const[i, j] = f.coeff_vector()[0]
-            return np.broadcast_to(const, (pts.shape[0],) + const.shape)
-        out = np.zeros((pts.shape[0], self.nrows, self.ncols), dtype=np.int64)
+        blocks = {}
         for d, fs in by_degree.items():
             rows, cols, forms = zip(*fs)
-            coeffs = np.stack([f.coeff_vector() for f in forms], axis=1)
-            out[:, rows, cols] = matmul_mod(
-                monomial_values(self.nvars, d, pts, self.p), coeffs, self.p)
-        return out
+            blocks[d] = (rows, cols, np.stack([f.coeff_vector() for f in forms], axis=1))
+        return evaluate_blocks(self.nvars, (self.nrows, self.ncols), blocks, pts, self.p)
 
     def maximal_minors(self) -> list[Form]:
         """All t×t minors, t = min(nrows, ncols)."""
@@ -212,6 +204,52 @@ class GradedMatrix:
             deg = sum(self.tgt[r] for r in rows) - sum(self.src[c] for c in cols)
             return Form.zero(self.nvars, max(deg, 0), self.p)
         return acc
+
+
+def evaluate_blocks(nvars: int, shape, blocks: dict, pts, p: int) -> np.ndarray:
+    """Values at points of an nrows x ncols matrix of forms given by its
+    nonzero entries grouped by degree: blocks[d] = (rows, cols, coeffs),
+    the entries at (rows[k], cols[k]) having the columns of the
+    (dim S_d, len(rows)) array coeffs, reduced mod p, as coefficient
+    vectors.  An (npts, nvars) array of coordinates -> (npts, nrows, ncols).
+
+    The one batched point evaluator of matrices: `GradedMatrix.evaluate`
+    and `piece_values` call it.  Each degree costs one `monomial_values`
+    and one `matmul_mod`.  With no degree above 0 (the sections of a
+    trivial bundle, say) every point takes the same value: it is built
+    once and returned as a read-only `np.broadcast_to` view, so callers
+    must not write into the result."""
+    pts = np.asarray(pts, dtype=np.int64)
+    if pts.ndim != 2 or pts.shape[1] != nvars:
+        raise ValueError("wrong number of coordinates")
+    if set(blocks) <= {0}:
+        const = np.zeros(shape, dtype=np.int64)
+        if 0 in blocks:
+            rows, cols, coeffs = blocks[0]
+            const[rows, cols] = coeffs[0]
+        return np.broadcast_to(const, (pts.shape[0],) + tuple(shape))
+    out = np.zeros((pts.shape[0],) + tuple(shape), dtype=np.int64)
+    for d, (rows, cols, coeffs) in blocks.items():
+        out[:, rows, cols] = matmul_mod(monomial_values(nvars, d, pts, p), coeffs, p)
+    return out
+
+
+def piece_values(nvars: int, tgt, l: int, rows, pts, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """`GradedMatrix.from_piece(nvars, tgt, l, rows, p).evaluate(pts)`,
+    read from the coefficient rows with no Form built: row j's block over
+    S_{tgt[i]+l} is entry (i, j).  Zero blocks are skipped, and blocks of
+    one degree are evaluated together."""
+    offs = list(accumulate((space_dim(nvars, b + l) for b in tgt), initial=0))
+    rows = np.mod(np.asarray(rows, dtype=np.int64).reshape(len(rows), offs[-1]), p)
+    by_degree: dict = {}
+    for i, b in enumerate(tgt):
+        block = rows[:, offs[i]:offs[i + 1]]
+        cols = np.flatnonzero(block.any(axis=1))
+        if cols.size:
+            by_degree.setdefault(b + l, []).append((np.full(cols.size, i), cols, block[cols].T))
+    blocks = {d: tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+              for d, parts in by_degree.items()}
+    return evaluate_blocks(nvars, (len(tgt), rows.shape[0]), blocks, pts, p)
 
 
 def hn_matrix(m: GradedMatrix, l: int) -> np.ndarray:

@@ -12,12 +12,16 @@ The engine keeps one record per (node, twist l), a `Strands`: the cells
 h^0..h^n of node(l), its H^0 model and its H^n model, or None for a
 model the chain cannot provide.  A record's cells are computed once, from
 the records of the node's children, and never changed.  Its models are
-built on first read, at most once.  The H^n cells come from ranks alone
-(`map_rank`), and a model's space (`Presented`) may itself wait for its
-first read: a kernel's H^n basis is eliminated only then, and a
-quotient's or a sum's H^n space is assembled only then.  On the H^0
-strand a record that had to eliminate to get its cells keeps the model
-that elimination gave at once.
+built on first read, at most once.  A quotient's H^n cell comes from
+ranks alone (`map_rank`).  A kernel K = ker(F -> G) needs no rank at
+all: its map is certified onto, so H^{n+1}(K(l)) = 0 (Grothendieck
+vanishing, Hartshorne III.2.7), H^n(F(l)) -> H^n(G(l)) is onto, and its
+rank is G's exact h^n cell; no H^n matrix is built for the cells.  A
+model's space (`Presented`) may itself wait for its first read: a
+kernel's H^n basis is eliminated only then, and a quotient's or a sum's
+H^n space is assembled only then.  On the H^0 strand a record that had
+to eliminate to get its cells keeps the model that elimination gave at
+once.
 
 Regularity rule (Castelnuovo-Mumford; Mumford, Lectures on Curves on an
 Algebraic Surface, Lecture 14): if the engine already holds the records
@@ -651,12 +655,15 @@ class Cohomology:
         # h^1 = coker on the section strand; the middle range shifts down
         cells = (dim_a0 - rank0, shift_cell(tvals[0], -rank0)) + tvals[1:n - 1]
         # top: h^n = h^{n-1}(target) + dim ker on the top strand
-        T = hn_matrix(m, l)
-        dim_an = T.shape[1]
+        dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
         if tn is None:
             return Strands(cells + (shift_cell(tvals[n - 1], 0, dim_an),), h0, None)
-        rank_n = map_rank(T, tn, p)
-        # the kernel basis is built from m on the first read, so T is not kept
+        # m is certified onto, so H^{n+1}(node(l)) = 0 (Grothendieck) and
+        # the top strand is onto H^n(target(l)): its rank is that cell
+        rank_n = tvals[n]
+        if not is_exact_cell(rank_n):
+            raise AssertionError(f"target with an H^n model has an interval h^{n}")
+        # the kernel basis is built from m on the first read
         hn = (Presented(dim_an, lambda: kernel_into(hn_matrix(m, l), tn, p)[1], None)
               if tvals[n - 1] == 0 else None)
         return Strands(cells + (shift_cell(tvals[n - 1], dim_an - rank_n),), h0, hn)

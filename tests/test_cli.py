@@ -252,6 +252,60 @@ def test_input_error_exit_code(tmp_path):
     assert main(["chern", bad]) == 2
 
 
+_POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_CELLS = [[0, 0, 1]]
+_DIFF = {"src": [-1], "tgt": [0], "rows": [["x0"]]}
+_LINE = "1,2,3,4;4,1,2,3"
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["chern", "{}"], [1, 2]),
+    (["coh", "{}"], "node"),
+    (["gg", "{}"], 3),
+    (["splits", "{}", "--line", _LINE], None),
+    (["beilinson", "{}"], {"cells": _CELLS}),
+    (["beilinson", "{}"], {"n": 2}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"], {"terms": [[0]], "diffs": [_DIFF]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"],
+     {"n": None, "terms": [[0]], "diffs": [_DIFF]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"], {"n": 2, "diffs": [_DIFF]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"], {"n": 2, "terms": [[0]]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"],
+     {"n": 2, "terms": [[0]], "diffs": [{"src": [-1], "tgt": [0]}]}),
+    (["cb", "--points", "{}", "--degree", "2"], {"pts": _POINTS}),
+    (["cb", "--points", "{}", "--degree", "2"], {"points": [[1, 0, 0], 5]}),
+    (["cb", "--points", "{}", "--degree", "2"], {"points": [[1, None, 0]]}),
+    (["edges", "--points", "{}", "--line", _LINE], {"pts": _POINTS}),
+    (["edges", "--points", "{}", "--line", _LINE], {"points": [1, 2, 3, 4]}),
+    (["spectra"], None),
+    (["spectra", "--spectrum", "0,0"], None),
+], ids=["chern-list", "coh-string", "gg-number", "splits-null", "beilinson-no-n",
+        "beilinson-no-cells", "liaison-no-n", "liaison-null-n", "liaison-no-terms", "liaison-no-diffs",
+        "liaison-diff-no-rows", "cb-no-points", "cb-point-not-list", "cb-null-coordinate",
+        "edges-no-points", "edges-point-not-list", "spectra-no-c2",
+        "spectra-spectrum-alone"])
+def test_malformed_input_exits_2(tmp_path, capsys, args, payload):
+    # exit 1 means a failed verification; bad input is exit 2, no traceback
+    path = write(tmp_path, "input.json", payload)
+    assert main([path if a == "{}" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
+def test_cb_answers_high_degree_at_once(tmp_path, monkeypatch, capsys):
+    # three points fail from degree 2 on, decided with no value matrix
+    def refuse(*args):
+        raise AssertionError("value matrix built")
+
+    monkeypatch.setattr("pnbundles.geometry.monomial_values", refuse)
+    pts = write(tmp_path, "pts.json", {"points": _POINTS})
+    assert main(["cb", "--points", pts, "--degree", "1000000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cayley_bacharach": False}
+    assert main(["cb", "--points", pts, "--degree", "-1"]) == 0
+    assert capsys.readouterr().out.strip() == "True"
+
+
 def test_catalog_verify_explicit_default_prime(tmp_path, monkeypatch, capsys):
     # an explicit --prime equal to the default must override the file's prime
     seen = []

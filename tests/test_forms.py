@@ -233,6 +233,19 @@ def test_random_points_match_scalar_normalization(nvars, count, seed, p):
     assert [tuple(q) for q in got.tolist()] == ref[:count]
 
 
+def test_random_points_are_shared_and_read_only():
+    # a repeated sample is the same array, so no caller may write into it;
+    # an empty sample (a witness re-check) does not replace the kept one
+    a = random_points(3, 50, 11, 101)
+    assert random_points(3, 50, 11, 101) is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 7
+    assert random_points(3, 0, 11, 101).shape == (0, 3)
+    assert random_points(3, 50, 11, 101) is a
+    b = random_points(3, 50, 12, 101)
+    assert b is not a and not np.array_equal(a, b) and not b.flags.writeable
+
+
 def test_random_points_rejects_negative_count():
     with pytest.raises(ValueError, match="cannot sample -1 points"):
         random_points(3, -1, 1)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pnbundles import geometry, modp
+from pnbundles import geometry, graded, modp
 from pnbundles.forms import (Form, monomial_basis, monomial_values, normalize_point,
                              random_points)
 from pnbundles.geometry import (DegenerateRestriction, GGVerdict, LineParam,
@@ -223,6 +223,45 @@ def test_cayley_bacharach_oracle_agreement_sampled():
         assert cayley_bacharach(pts, 1, p=5) == cayley_bacharach_oracle(pts, 1)
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_cayley_bacharach_fails_from_degree_k_minus_1_by_the_oracle(q, monkeypatch):
+    # d = k-1..k+1 where the oracle can enumerate every form (dim S_d <= 6),
+    # 40 random configurations each: all fail, with no value matrix built
+    rng = np.random.default_rng(q)
+    plane = [(1, a, b) for a in range(q) for b in range(q)] + \
+        [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+    cases = []
+    for k, d in ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
+        for _ in range(40):
+            idx = rng.choice(len(plane), size=k, replace=False)
+            scale = rng.integers(1, q, size=k)
+            cases.append(([tuple(int(c) * int(s) % q for c in plane[i])
+                           for i, s in zip(idx, scale)], d))
+    want = [cayley_bacharach_oracle(pts, d, q) for pts, d in cases]
+    assert want == [False] * len(cases)
+
+    def refuse(*args):
+        raise AssertionError("value matrix built")
+
+    monkeypatch.setattr(geometry, "monomial_values", refuse)
+    assert [cayley_bacharach(pts, d, q) for pts, d in cases] == want
+
+
+@pytest.mark.parametrize("p", [5, 101, P])
+def test_cayley_bacharach_shortcuts_match_the_elimination(p):
+    # d < 0 holds and d >= k-1 fails, as the pivot rows of the value
+    # matrix say, for up to 9 points
+    rng = np.random.default_rng(p + 1)
+    for k in range(1, 10):
+        pts = list(dict.fromkeys(normalize_point(q, p) for q in
+                                 rng.integers(0, p, size=(3 * k, 3)) if q.any()))[:k]
+        for d in (-2, -1, k - 1, k, k + 1):
+            ev = monomial_values(3, d, np.array(pts), p)
+            want = all(n >= 2 for n in modp.pivot_row_sizes(ev.T, p))
+            assert want == (d < 0)
+            assert cayley_bacharach(pts, d, p) is want, (pts, d)
+
+
 def _kernel_basis_verdict(ev, p):
     """The Cayley-Bacharach rule as a kernel basis states it: every point
     is in the support of some vector of the left kernel of ev."""
@@ -406,17 +445,19 @@ def _two_quotients():
     (_two_quotients, 2)])
 def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
     # a quotient matrix serves both the fiber ranks and the span check;
-    # `calls` counts the node's matrices, the section matrix adds one
+    # `calls` counts the node's matrices, the sections' coefficient rows
+    # add one evaluation, all through the one evaluator core
     node = node()
-    eng.h0_basis(node, 0)
+    eng.h0_presented(node, 0).space_rows()
     seen = []
-    evaluate = GradedMatrix.evaluate
+    core = graded.evaluate_blocks
 
-    def spy(self, pts):
-        seen.append(self)
-        return evaluate(self, pts)
+    def spy(nvars, shape, blocks, pts, p):
+        seen.append((tuple(shape), tuple((d, np.asarray(r).tobytes(), np.asarray(c).tobytes(),
+                                          k.tobytes()) for d, (r, c, k) in blocks.items())))
+        return core(nvars, shape, blocks, pts, p)
 
-    monkeypatch.setattr(GradedMatrix, "evaluate", spy)
+    monkeypatch.setattr(graded, "evaluate_blocks", spy)
     assert is_globally_generated(node, 200, 7, eng=eng).generated
     assert len(seen) == calls + 1 == len(set(seen))
 

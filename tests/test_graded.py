@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnbundles.forms import Form, monomial_basis, random_points, space_dim
-from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix
+from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix, piece_values
 from pnbundles.idealtests import epi_certificate, ideal_piece_rows
 from pnbundles.modp import MAX_PRIME, batched_rank, kernel_basis, rank
 
@@ -343,3 +343,44 @@ def test_ideal_piece_rows():
     gens = [X[0], X[1]]
     # degree-2 piece of (x0, x1) on P^3: x0*S1 + x1*S1 has dimension 7
     assert rank(ideal_piece_rows(gens, 2), P) == 7
+
+
+def _catalog_section_models():
+    """(id, nvars, ambient twists, l, rows) of every catalog section model
+    at l = 0 and 1, and of the sections of every raw-kernel presentation."""
+    from pathlib import Path
+
+    from pnbundles.catalog import load_catalog, parse_matrix, parse_node
+    from pnbundles.sheaves import Cohomology, ambient_twists, nvars_of
+
+    cat = load_catalog(Path(__file__).resolve().parents[1] / "catalog" / "catalog.json")
+    eng = Cohomology(cat["prime"])
+    for e in cat["entries"]:
+        if "construction" in e:
+            node = parse_node(e["construction"], e["n"] + 1, cat["prime"])
+            twists = ambient_twists(node)
+            for l in (0, 1) if twists is not None else ():
+                yield (e["id"], nvars_of(node), twists, l,
+                       eng.h0_presented(node, l).space_rows())
+        if "gg_construction" in e:
+            m = parse_matrix(e["gg_construction"]["matrix"], e["n"] + 1, cat["prime"])
+            yield e["id"], m.nvars, m.src, 0, kernel_basis(m.graded_piece(0), cat["prime"])
+
+
+def test_piece_values_match_from_piece_on_catalog_sections():
+    # the sections' values read off their coefficient rows equal those of
+    # the section matrix, the constant ones as one read-only broadcast view;
+    # rows outside [0, p) give the same values
+    rng = np.random.default_rng(5)
+    seen = {"broadcast": 0, "full": 0}
+    for eid, nvars, tgt, l, rows in _catalog_section_models():
+        pts = _random_points_with_zeros(rng, nvars, P)
+        want = GradedMatrix.from_piece(nvars, tgt, l, rows, P).evaluate(pts)
+        got = piece_values(nvars, tgt, l, rows - P * (rng.random(rows.shape) < 0.5), pts, P)
+        assert got.shape == want.shape and np.array_equal(got, want), (eid, l)
+        broadcast = want.strides[0] == 0
+        assert (got.strides[0] == 0) == broadcast and got.flags.writeable != broadcast, eid
+        seen["broadcast" if broadcast else "full"] += 1
+    assert seen["broadcast"] and seen["full"] > 40, seen
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        piece_values(nvars, tgt, l, rows, pts[:, 1:], P)

@@ -10,7 +10,7 @@ from pnbundles.catalog import load_catalog, parse_node
 from pnbundles.chern import rr_chi
 from pnbundles.complexes import koszul
 from pnbundles.forms import Form, monomial_basis, random_points
-from pnbundles.graded import GradedMatrix
+from pnbundles.graded import GradedMatrix, hn_matrix
 from pnbundles.modp import rank, zeros
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
                                KerNode, LineSum, Presented, QuotNode, Strands,
@@ -760,20 +760,24 @@ def test_models_are_built_on_first_read(monkeypatch):
 
 @pytest.mark.parametrize("entry_id", ["p4-rank5-kernel-twist", "p3-kernel-onto-cotangent"])
 def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
-    # no kernel_into call of the table takes an H^n matrix; each kernel's
-    # H^n model builds its basis on the first read, with kernel_into, and
-    # keeps it; a quotient's passes on its inner node's
-    tops, calls = [], []
+    # the table builds no H^n matrix of a kernel, whose top rank is its
+    # target's h^n cell, and a quotient's only for ranks: no kernel_into
+    # call takes one; each kernel's H^n model builds its basis on the first
+    # read, with kernel_into, and keeps it; a quotient's passes on its
+    # inner node's
+    tops, built, calls = [], [], []
     real_hn, real = sheaves.hn_matrix, sheaves.kernel_into
     monkeypatch.setattr(sheaves, "hn_matrix",
-                        lambda m, l: tops.append(real_hn(m, l)) or tops[-1])
+                        lambda m, l: built.append(m) or tops.append(real_hn(m, l)) or tops[-1])
     monkeypatch.setattr(sheaves, "kernel_into",
                         lambda T, target, p: calls.append(T) or real(T, target, p))
     node = catalog_node(entry_id)
     eng = Cohomology(CATALOG["prime"])
     eng.table(node, default_window(nvars_of(node) - 1))
-    assert tops and not any(T is H or (T.size and T.shape == H.shape and np.array_equal(T, H))
-                            for T in calls for H in tops)
+    quotients = {nd.matrix for nd, _ in eng._strands if isinstance(nd, QuotNode)}
+    assert all(m in quotients for m in built) and (built or not quotients)
+    assert not any(T is H or (T.size and T.shape == H.shape and np.array_equal(T, H))
+                   for T in calls for H in tops)
     held = [(nd, l) for nd, l in list(eng._strands) if eng.hn_presented(nd, l) is not None]
     kernels = [(nd, l) for nd, l in held if isinstance(nd, KerNode)]
     assert kernels
@@ -787,6 +791,26 @@ def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
     for nd, l in held:
         if isinstance(nd, QuotNode):
             assert eng.hn_presented(nd, l).space is eng.hn_presented(nd.inner, l).space
+
+
+def test_kernel_top_rank_rule_matches_map_rank():
+    # a kernel of a map certified onto has H^{n+1} = 0, so its top strand
+    # is onto the target's H^n: the rank the cells take from that cell is
+    # the rank map_rank gives, at every kernel record of every catalog
+    # construction on [-n-8, 8]
+    checked = 0
+    for entry_id, node in catalog_constructions():
+        n = nvars_of(node) - 1
+        eng = Cohomology(CATALOG["prime"])
+        eng.table(node, range(-n - 8, 9))
+        for nd, l in list(eng._strands):
+            if not isinstance(nd, KerNode) or eng.hn_presented(nd.target, l) is None:
+                continue
+            tn, cell = eng.hn_presented(nd.target, l), eng.values(nd.target, l)[n]
+            assert is_exact_cell(cell), (entry_id, l)
+            assert map_rank(hn_matrix(nd.matrix, l), tn, eng.p) == cell, (entry_id, l)
+            checked += 1
+    assert checked > 300
 
 
 def test_hn_strand_keeps_no_kernel_bases():
