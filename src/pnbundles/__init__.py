@@ -16,7 +16,7 @@ from .exterior import (ExtElement, MonadShape, beilinson_terms, contract,
                        omega_restriction, skew_rank, wedge, wedge_map_rank)
 from .forms import Form, monomial_basis, parse_form, random_points, space_dim
 from .geometry import (GGVerdict, LineParam, cayley_bacharach,
-                       cayley_bacharach_oracle, edge_avoidance, gg_of_raw_kernel,
+                       cayley_bacharach_oracle, edge_avoidance,
                        is_globally_generated, quadric_line_component_test,
                        splitting_type_on_line)
 from .graded import GradedMatrix, hn_matrix

@@ -15,10 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 from .chern import gg_constraints, p_chern, rr_chi, schwarzenberger_ok
-from .geometry import (LineParam, gg_of_raw_kernel, is_globally_generated,
-                       reverify_witness)
+from .geometry import LineParam, is_globally_generated, reverify_witness
 from .graded import GradedMatrix
-from .modp import DEFAULT_PRIME, rank
+from .modp import DEFAULT_PRIME
 from .pencil import classify, linear_matrix_2x4, minor_ideal_equals
 from .sheaves import (CertificationError, Cohomology, DualNode, LineSum,
                       chern_of_node, default_window, is_exact_cell, ker_node,
@@ -29,29 +28,67 @@ class CatalogError(ValueError):
     pass
 
 
+def _fields(what: str, body, *keys) -> list:
+    """[body[key] for each key]; CatalogError unless body is a JSON object
+    that has them all."""
+    if not isinstance(body, dict) or any(k not in body for k in keys):
+        raise CatalogError(f"{what} needs an object with "
+                           f"{', '.join(map(repr, keys))}, got {body!r}")
+    return [body[k] for k in keys]
+
+
+def _int(what: str, v) -> int:
+    """v as an int; CatalogError unless v is an integer or an integer's
+    string (a float such as 1.5 or 1e400 is not truncated)."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise CatalogError(f"{what} must be an integer, got {v!r}")
+
+
+def _ints(what: str, vals) -> tuple:
+    if not isinstance(vals, list):
+        raise CatalogError(f"{what} must be a list of integers, got {vals!r}")
+    return tuple(_int(f"an entry of {what}", v) for v in vals)
+
+
 def parse_matrix(obj, nvars: int, p: int) -> GradedMatrix:
+    src, tgt, rows = _fields("a matrix", obj, "src", "tgt", "rows")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(isinstance(f, str) for f in r) for r in rows):
+        raise CatalogError(f"matrix rows must be lists of form strings, got {rows!r}")
+    src, tgt = _ints("src", src), _ints("tgt", tgt)
     try:
-        return GradedMatrix.make(nvars, obj["src"], obj["tgt"], obj["rows"], p)
-    except (KeyError, ValueError) as exc:
+        return GradedMatrix.make(nvars, src, tgt, rows, p)
+    except ValueError as exc:
         raise CatalogError(f"bad matrix: {exc}") from None
 
 
 def parse_node(obj, nvars: int, p: int):
+    """The node of a construction object; CatalogError on a malformed one."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise CatalogError(f"bad node object: {obj!r}")
     kind, body = next(iter(obj.items()))
+    what = f"a {kind!r} node"
     if kind == "sum":
-        return LineSum.make(nvars, body, p)
+        return LineSum.make(nvars, _ints(what, body), p)
     if kind == "ker":
-        m = parse_matrix(body["matrix"], nvars, p)
+        m = parse_matrix(_fields(what, body, "matrix")[0], nvars, p)
         target = parse_node(body["onto"], nvars, p) if "onto" in body else None
         return ker_node(m, target)
     if kind == "quot":
-        m = parse_matrix(body["matrix"], nvars, p)
-        return quot_node(m, parse_node(body["of"], nvars, p))
+        mat, of = _fields(what, body, "matrix", "of")
+        return quot_node(parse_matrix(mat, nvars, p), parse_node(of, nvars, p))
     if kind == "twist":
-        return twist_node(parse_node(body["of"], nvars, p), int(body["by"]))
+        of, by = _fields(what, body, "of", "by")
+        return twist_node(parse_node(of, nvars, p), _int(f"the 'by' of {what}", by))
     if kind == "dsum":
+        if not isinstance(body, list) or not body:
+            raise CatalogError(f"{what} needs a nonempty list of nodes, got {body!r}")
         return sum_node(*(parse_node(q, nvars, p) for q in body))
     if kind == "dual":
         return DualNode(parse_node(body, nvars, p))
@@ -205,21 +242,9 @@ def _verify_entry_inner(entry, eng, trials, seed, rep):
         hints = expected.get("gg_hints", {})
         hint_lines = [LineParam.make(a, b, p) for a, b in hints.get("lines", [])]
         hint_points = [tuple(q) for q in hints.get("points", [])]
-        if "gg_construction" in entry:
-            # alternate raw-kernel presentation: used both for the sampled
-            # verdict and as an independent route to h^0
-            raw = entry["gg_construction"]
-            m = parse_matrix(raw["matrix"], nvars, p)
-            verdict = gg_of_raw_kernel(m, int(raw["rank"]), trials, seed, p)
-            g0 = m.graded_piece(0)
-            got_h0 = g0.shape[1] - rank(g0, p)
-            want_h0 = table.h(0, 0)
-            rep.add("h0-cross-model", is_exact_cell(want_h0) and got_h0 == want_h0,
-                    want_h0, got_h0)
-        else:
-            verdict = is_globally_generated(node, trials, seed,
-                                            hint_points=hint_points,
-                                            hint_lines=hint_lines, eng=eng)
+        verdict = is_globally_generated(node, trials, seed,
+                                        hint_points=hint_points,
+                                        hint_lines=hint_lines, eng=eng)
         if gg in ("generated", "generated-for-this-instance"):
             rep.add("global-generation", verdict.generated, "generated", verdict.tag)
         elif gg == "not-generated":

@@ -1,9 +1,10 @@
 """Constructs the shipped catalog: one entry per classified bundle.
 
 Most constructions are written out directly; the twisted Koszul
-differentials behind the two monad-style entries and the section matrix
-behind the transform entry are generated from the package machinery so
-their many-term matrices stay in sync with the sign conventions.
+differentials behind the monad-style entries, the rank-5 entry's map on
+P^4 with its one left syzygy, and the section matrix behind the transform
+entry are generated from the package machinery so their many-term
+matrices stay in sync with the sign conventions.
 
 Expected-value tags: "stated" values are classification data being
 re-verified, "derived" values were computed by an independent route and
@@ -93,37 +94,54 @@ def _monad_rank6(p: int) -> dict:
                      "of": {"ker": {"matrix": _mat_json(top)}}}}
 
 
-def _rank5_p4_pieces(p: int):
-    """Dual-chain and raw-kernel matrices for the rank-5 entry on P^4."""
+def rank5_p4_chain(p: int):
+    """The Koszul differentials of (x0, x1, x2, x3, x4^2) on P^4 twisted
+    by 4, as {k: d_k} for k = 2..5, and the evaluation row u: C_4(4) ->
+    O(2), a cochain (u ∘ d4 = 0).  The rank-5 entry is the dual of
+    ker(d4^vee onto ker d5^vee) modulo u^vee."""
     y = _x(5)
     kz = koszul([y[0], y[1], y[2], y[3], y[4] * y[4]], p=p)
-    d4 = kz.diff(4).twist(4)
-    d5 = kz.diff(5).twist(4)
-    d3 = kz.diff(3).twist(4)
-    d2 = kz.diff(2).twist(4)
-
+    d = {k: kz.diff(k).twist(4) for k in (2, 3, 4, 5)}
     x4sq = y[4] * y[4]
     assign = {(0, 1, 2): y[2], (0, 1, 3): y[3], (0, 1, 4): x4sq,
               (0, 2, 3): y[0], (1, 2, 3): y[1], (2, 3, 4): x4sq}
     entries = [assign.get(t, "0") for t in combinations(range(5), 3)]
-    u = GradedMatrix.row(5, d4.tgt, 2, entries, p)
-    if not u.compose(d4).is_zero():
+    u = GradedMatrix.row(5, d[4].tgt, 2, entries, p)
+    if not u.compose(d[4]).is_zero():
         raise AssertionError("evaluation row is not a cochain")
+    return d, u
 
-    # lift the evaluation row through d3 for the raw-kernel presentation:
-    # phi_hat ∘ d3 = u, solved on degree-2 sections of the transposes
-    d3t = d3.dual()
+
+def _rank5_p4_kernel(p: int) -> dict:
+    """Kernel presentation of the rank-5 entry on P^4: ker(M -> ker N).
+
+    M stacks the Koszul differential d2 with a lift of the evaluation row
+    through d3; N: ⊕O(tgt of M) -> O(4) is its one left syzygy of degree
+    at most 4, found degree by degree on the transposed pieces.
+    """
+    d, u = rank5_p4_chain(p)
+    # lift the evaluation row through d3: phi_hat ∘ d3 = u, solved on
+    # degree-2 sections of the transposes
+    d3t = d[3].dual()
     sol = solve(d3t.graded_piece(2), u.dual().graded_piece(2)[:, 0], p)
     if sol is None:
         raise AssertionError("no lift of the evaluation row to C_2(4)")
     phi_hat = GradedMatrix.from_piece(5, d3t.src, 2, sol[None], p).dual()
+    m = d[2].stack(phi_hat)
 
-    construction = {"dual": {"quot": {
-        "matrix": _mat_json(u.dual()),
-        "of": {"ker": {"matrix": _mat_json(d4.dual()),
-                       "onto": {"ker": {"matrix": _mat_json(d5.dual())}}}}}}}
-    raw = {"matrix": _mat_json(d2.stack(phi_hat)), "rank": 5}
-    return construction, raw
+    # left syzygies of m in degree c are the kernel of m^T on degree c
+    mt = m.dual()
+    for c in range(min(m.tgt), 4):
+        if len(kernel_basis(mt.graded_piece(c), p)):
+            raise AssertionError(f"a left syzygy in degree {c} < 4")
+    syz = kernel_basis(mt.graded_piece(4), p)
+    if len(syz) != 1:
+        raise AssertionError(f"{len(syz)} left syzygies in degree 4, not one")
+    n = GradedMatrix.from_piece(5, mt.src, 4, syz, p).dual()
+    if not n.compose(m).is_zero():
+        raise AssertionError("the syzygy does not annihilate the matrix")
+    return {"ker": {"matrix": _mat_json(m),
+                    "onto": {"ker": {"matrix": _mat_json(n)}}}}
 
 
 def _staircase_monad(charge: int, p: int) -> dict:
@@ -212,14 +230,21 @@ def _web_row_kernel() -> dict:
 
 
 def _transform_of_tangent_twist(p: int) -> dict:
-    """Dual-of-kernel presentation of the transform of T(1) on P^2.
+    """Quotient presentation of the transform of T(1) on P^2.
 
-    The section matrix of T(1) is generated through the engine so the
-    coset-representative choice matches verification exactly.
+    The transform is the dual of K = ker(M: O^15 -> T(1)), M the section
+    matrix of T(1), generated through the engine so the
+    coset-representative choice matches verification exactly.  With T(1)
+    = O(2)^3 / a O(1), and a injective on every fibre, K is also
+    ker([M | -a]: O^15 + O(1) -> O(2)^3), so its dual is the quotient of
+    O^15 + O(-1) by [M | -a]^vee.
     """
-    t1_expr = {"twist": {"by": 2, "of": _tangent_minus_1(3)}}
-    m = Cohomology(p=p).p_transform(parse_node(t1_expr, 3, p)).matrix
-    return {"dual": {"ker": {"matrix": _mat_json(m), "onto": t1_expr}}}
+    t1 = parse_node({"twist": {"by": 2, "of": _tangent_minus_1(3)}}, 3, p)
+    m = Cohomology(p=p).p_transform(t1).matrix
+    a = t1.matrix
+    neg_a = GradedMatrix.make(3, a.src, a.tgt, [[-f for f in row] for row in a.entries], p)
+    return {"quot": {"matrix": _mat_json(m.dual().stack(neg_a.dual())),
+                     "of": {"sum": [-b for b in m.src + a.src]}}}
 
 
 def build_catalog(p: int = DEFAULT_PRIME) -> dict:
@@ -401,16 +426,14 @@ def build_catalog(p: int = DEFAULT_PRIME) -> dict:
         6, (3, 5, 5, 0),
         coh=[_coh(0, 0, 10, "derived", "three-form section count")])
 
-    sas_node, sas_raw = _rank5_p4_pieces(p)
-    add("p4-rank5-kernel-twist", 4, sas_node, 5, (4, 8, 8, 0),
-        gg="generated-for-this-instance", gg_construction=sas_raw,
-        p_chern_fixed=True,
+    add("p4-rank5-kernel-twist", 4, _rank5_p4_kernel(p), 5, (4, 8, 8, 0),
+        gg="generated-for-this-instance", p_chern_fixed=True,
         coh=[_coh(1, -1, 1, "stated", "rank-5 fourfold bundle"),
              _coh(1, -2, 1, "stated", "rank-5 fourfold bundle"),
              _coh(2, -3, 1, "stated", "rank-5 fourfold bundle"),
              _coh(2, -4, 1, "stated", "rank-5 fourfold bundle")],
-        notes="table computed on the dual chain and flipped; sampling runs "
-              "on the primal raw-kernel presentation")
+        notes="kernel of a 6x10 map onto the kernel of its one quartic "
+              "left syzygy; its dual is the Koszul dual-chain construction")
 
     add("p5-cotangent-2", 5, _euler_ker(6, 1), 5, (4, 7, 6, 3, 0),
         coh=[_coh(0, 0, 15, "derived", "two-form section count")])

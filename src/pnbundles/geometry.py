@@ -5,10 +5,10 @@ for line systems on a smooth quadric.
 Negative answers always come with a witness that re-verifies
 deterministically; positive global-generation verdicts are sampled
 (trials and seed recorded in the verdict).  The sections of a sampled
-check are evaluated from their coefficient rows (the engine's H^0 model,
-or the kernel basis of a raw matrix) by `graded.piece_values`, with no
-section matrix of forms built.  Cayley-Bacharach for k points is decided
-with no value matrix when d < 0 (true) or d >= k - 1 (false).
+check are evaluated from the coefficient rows of the engine's H^0 model
+by `graded.piece_values`, with no section matrix of forms built.
+Cayley-Bacharach for k points is decided with no value matrix when d < 0
+(true) or d >= k - 1 (false).
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ from .binforms import binary_gcd_degree
 from .forms import (Form, monomial_values, normalize_point, normalize_points,
                     random_points)
 from .graded import GradedMatrix, piece_values
-from .modp import (DEFAULT_PRIME, check_prime, kernel_basis, pivot_row_sizes,
-                   rank, relative_rank)
+from .modp import (DEFAULT_PRIME, check_prime, pivot_row_sizes, rank,
+                   relative_rank)
 from .sheaves import (Cohomology, KerNode, LineSum, SumNode, ambient_twists,
-                      chern_of_node, fiber_dims, fiber_quot_rows, first_failure,
-                      ker_node, nvars_of, prime_of, rank_of)
+                      chern_of_node, fiber_quot_rows, nvars_of, prime_of,
+                      rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "cayley_bacharach",
     "cayley_bacharach_oracle", "splitting_type_on_line", "restrict_to_line",
-    "is_globally_generated", "gg_of_raw_kernel", "edge_avoidance",
+    "is_globally_generated", "edge_avoidance",
     "quadric_line_component_test", "DegenerateRestriction",
 ]
 
@@ -152,23 +152,6 @@ class GGVerdict:
         return self.generated
 
 
-def _sampled_verdict(node, secs: np.ndarray, r: int, pts, trials: int,
-                     seed: int, p: int) -> GGVerdict:
-    """The fiber of node must be r-dimensional at every point, and then
-    spanned by the sections, whose values at pts are secs, (npts, ambient
-    rank, sections); the first failing point is the witness."""
-    ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
-    npts = len(pts)
-    x = first_failure(fiber_dims(node, npts, ev, p), r, pts)
-    if x is None:
-        spans = relative_rank(secs.transpose(0, 2, 1),
-                              fiber_quot_rows(node, npts, ev), p)
-        x = first_failure(spans, r, pts)
-    if x is None:
-        return GGVerdict(True, "generated-up-to-sampling", trials, seed)
-    return GGVerdict(False, "not-generated", trials, seed, witness_point=x)
-
-
 def is_globally_generated(node, trials: int = 500, seed: int = 90021,
                           hint_points=(), hint_lines=(),
                           eng: Cohomology | None = None) -> GGVerdict:
@@ -177,7 +160,9 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
     Every hint line is checked first through its splitting type (a
     negative summand is a proof of failure); then sections are evaluated
     at the hint points plus `trials` seeded random points and required to
-    span each fiber.  Raises ValueError when that is no point at all.
+    span each fiber.  The section model certifies the node first, so its
+    fiber has rank r at every point and only the span is sampled.  Raises
+    ValueError when there is no point at all.
     """
     if trials < 1 and not len(hint_points):
         raise ValueError(f"a sampled verdict needs a point: trials={trials} "
@@ -199,7 +184,13 @@ def is_globally_generated(node, trials: int = 500, seed: int = 90021,
         pts = np.concatenate([normalize_points(hints, p), pts])
     secs = piece_values(nv, ambient_twists(node), 0,
                         eng.h0_presented(node, 0).space_rows(), pts, p)
-    return _sampled_verdict(node, secs, r, pts, trials, seed, p)
+    ev = lru_cache(maxsize=None)(lambda m: m.evaluate(pts))  # once per matrix
+    spans = relative_rank(secs.transpose(0, 2, 1), fiber_quot_rows(node, len(pts), ev), p)
+    bad = np.flatnonzero(spans != r)
+    if not bad.size:
+        return GGVerdict(True, "generated-up-to-sampling", trials, seed)
+    return GGVerdict(False, "not-generated", trials, seed,
+                     witness_point=tuple(int(c) for c in pts[bad[0]]))
 
 
 def reverify_witness(node, verdict: GGVerdict, eng: Cohomology | None = None) -> bool:
@@ -214,27 +205,6 @@ def reverify_witness(node, verdict: GGVerdict, eng: Cohomology | None = None) ->
                                       hint_points=[verdict.witness_point], eng=eng)
         return not again.generated
     return False
-
-
-def gg_of_raw_kernel(matrix: GradedMatrix, expected_rank: int,
-                     trials: int = 500, seed: int = 90021,
-                     p: int = DEFAULT_PRIME) -> GGVerdict:
-    """Global generation of the kernel sheaf of an arbitrary matrix.
-
-    Uses only left exactness: sections are the graded kernel in degree 0
-    and the fiber at x is the kernel of the evaluated matrix, so no epi
-    certificate is needed.  The fiber dimension is required to equal
-    expected_rank at every sample (degenerate points are failures).
-    Raises ValueError when trials < 1, which would sample no point.
-    """
-    if trials < 1:
-        raise ValueError(f"a sampled verdict needs a point: trials={trials}")
-    nv = matrix.nvars
-    pts = random_points(nv, trials, seed, p)
-    secs = piece_values(nv, matrix.src, 0, kernel_basis(matrix.graded_piece(0), p),
-                        pts, p)
-    return _sampled_verdict(ker_node(matrix), secs, expected_rank, pts,
-                            trials, seed, p)
 
 
 # -- Cayley-Bacharach ------------------------------------------------------------

@@ -50,9 +50,8 @@ from .chern import (ChernVector, dual_chern, line_sum_chern, whitney_div,
                     whitney_mul)
 from .forms import space_dim
 from .graded import GradedMatrix, hn_matrix
-from .modp import (DEFAULT_PRIME, batched_rank, check_prime,
-                   extend_to_complement, kernel_basis, rank, relative_rank,
-                   zeros)
+from .modp import (DEFAULT_PRIME, check_prime, extend_to_complement,
+                   kernel_basis, rank, zeros)
 
 
 class CertificationError(ValueError):
@@ -374,35 +373,6 @@ def fiber_quot_rows(node, npts: int, ev) -> np.ndarray:
         return block_rows([fiber_quot_rows(q, npts, ev) for q in node.parts],
                           [len(ambient_twists(q)) for q in node.parts])
     raise ValueError("unsupported node for fiber evaluation")
-
-
-def fiber_ranks(node, npts: int, ev, p: int) -> np.ndarray:
-    """Rank at each point of the map defining a kernel or quotient node;
-    onto a quotient the rank is taken modulo the subobject's fiber."""
-    vals = ev(node.matrix)
-    if isinstance(node, KerNode) and isinstance(node.target, QuotNode):
-        return relative_rank(vals.transpose(0, 2, 1),
-                             fiber_quot_rows(node.target, npts, ev), p)
-    return batched_rank(vals, p)
-
-
-def fiber_dims(node, npts: int, ev, p: int) -> np.ndarray:
-    """Fiber dimension at each point (a drop or jump marks degeneracy)."""
-    if isinstance(node, LineSum):
-        return np.full(npts, len(node.twists), dtype=np.int64)
-    if isinstance(node, KerNode):
-        return len(node.matrix.src) - fiber_ranks(node, npts, ev, p)
-    if isinstance(node, QuotNode):
-        return fiber_dims(node.inner, npts, ev, p) - fiber_ranks(node, npts, ev, p)
-    if isinstance(node, SumNode):
-        return sum(fiber_dims(q, npts, ev, p) for q in node.parts)
-    raise ValueError("unsupported node for fiber evaluation")
-
-
-def first_failure(values, want, pts) -> tuple | None:
-    """The first point whose value is not want, as a tuple, or None."""
-    bad = np.flatnonzero(values != want)
-    return tuple(int(c) for c in pts[bad[0]]) if bad.size else None
 
 
 # -- cohomology cells ----------------------------------------------------------

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from pnbundles import chern, forms, sheaves
+from pnbundles import chern, forms, graded
 from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                parse_node, serialize_catalog, verify_all,
                                verify_entry)
-from pnbundles.catalog_entries import build_catalog
-from pnbundles.sheaves import Cohomology, KerNode, LineSum, QuotNode
+from pnbundles.catalog_entries import build_catalog, rank5_p4_chain
+from pnbundles.forms import format_form
+from pnbundles.sheaves import (Cohomology, DualNode, KerNode, LineSum, QuotNode,
+                               chern_of_node, default_window)
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "catalog" / "catalog.json"
 
@@ -118,7 +120,7 @@ def test_certification_never_samples(catalog, monkeypatch):
     # one onto-certificate (d, reg): a twist d at or above the target's
     # regularity reg; no fiber is evaluated and no point is drawn
     calls = []
-    monkeypatch.setattr(sheaves, "fiber_ranks", lambda *a: calls.append("fiber_ranks"))
+    monkeypatch.setattr(graded, "evaluate_blocks", lambda *a: calls.append("evaluate_blocks"))
     monkeypatch.setattr(forms, "random_points",
                         lambda *a, **k: calls.append("random_points"))
     eng = Cohomology(catalog["prime"])
@@ -128,7 +130,51 @@ def test_certification_never_samples(catalog, monkeypatch):
     assert calls == []
     certs = {node: c for node, c in eng._cert.items() if isinstance(node, (KerNode, QuotNode))}
     assert all(d >= reg for d, reg in certs.values())
-    # the four kernels onto a node other than a line sum, once sampled
+    # the three kernels onto a node other than a line sum, once sampled:
+    # p3-kernel-onto-cotangent, p4-wedge2-cotangent-3 and
+    # p4-rank5-kernel-twist, each onto a kernel; the fourth, a kernel onto
+    # the quotient T(1), left with the dual form of
+    # p2-c1-5-transform-tangent, which is now a quotient of a line sum
     onto_nodes = [c for node, c in certs.items()
                   if isinstance(node, KerNode) and not isinstance(node.target, LineSum)]
-    assert len(onto_nodes) == 4 and any(isinstance(node, QuotNode) for node in certs)
+    assert len(onto_nodes) == 3 and any(isinstance(node, QuotNode) for node in certs)
+
+
+def _mat(m):
+    return {"src": list(m.src), "tgt": list(m.tgt),
+            "rows": [[format_form(f) for f in row] for row in m.entries]}
+
+
+def _dual_forms(p):
+    """The {"dual": ...} constructions that the catalog once shipped for
+    the two entries it now writes as a kernel and as a quotient."""
+    d, u = rank5_p4_chain(p)
+    rank5 = {"dual": {"quot": {"matrix": _mat(u.dual()), "of": {"ker": {
+        "matrix": _mat(d[4].dual()), "onto": {"ker": {"matrix": _mat(d[5].dual())}}}}}}}
+    t1 = {"twist": {"by": 2, "of": {"quot": {
+        "matrix": {"src": [-1], "tgt": [0, 0, 0], "rows": [["x0"], ["x1"], ["x2"]]},
+        "of": {"sum": [0, 0, 0]}}}}}
+    m = Cohomology(p).p_transform(parse_node(t1, 3, p)).matrix
+    return {"p4-rank5-kernel-twist": rank5,
+            "p2-c1-5-transform-tangent": {"dual": {"ker": {"matrix": _mat(m), "onto": t1}}}}
+
+
+@pytest.mark.parametrize("entry_id, far", [("p2-c1-5-transform-tangent", ()),
+                                           ("p4-rank5-kernel-twist", (range(-12, 9),))])
+def test_shipped_forms_match_the_dual_forms(catalog, entry_id, far):
+    # the kernel and quotient forms have the Chern data and, cell for cell
+    # and exactly, the tables of the dual forms they replace, over the
+    # verify window and, on P^4, far twists too
+    p = catalog["prime"]
+    entry = next(e for e in catalog["entries"] if e["id"] == entry_id)
+    n = entry["n"]
+    new = parse_node(entry["construction"], n + 1, p)
+    old = parse_node(_dual_forms(p)[entry_id], n + 1, p)
+    assert isinstance(old, DualNode) and not isinstance(new, DualNode)
+    assert chern_of_node(new) == chern_of_node(old)
+    assert "window" not in entry
+    eng = Cohomology(p)
+    for window in (default_window(n), *far):
+        a, b = eng.table(old, window), eng.table(new, window)
+        assert a.cells == b.cells
+        assert a.exact_columns() == b.exact_columns() == list(window)

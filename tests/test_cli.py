@@ -293,6 +293,42 @@ def test_malformed_input_exits_2(tmp_path, capsys, args, payload):
     assert captured.err.startswith("input error:") and "Traceback" not in captured.err
 
 
+_ROW = {"src": [0, 0], "tgt": [1], "rows": [["x0", "x1"]]}
+
+
+@pytest.mark.parametrize("construction", [
+    {"ker": 5},
+    {"ker": {"onto": {"sum": [1]}}},
+    {"ker": {"matrix": {**_ROW, "rows": 7}}},
+    {"ker": {"matrix": {**_ROW, "rows": [[0, 1]]}}},
+    {"ker": {"matrix": {**_ROW, "src": 0}}},
+    {"ker": {"matrix": {"src": [0, 0], "tgt": [1]}}},
+    {"quot": {"matrix": 3, "of": {"sum": [0, 0]}}},
+    {"quot": {"matrix": _ROW}},
+    {"dsum": 4},
+    {"dsum": []},
+    {"sum": 5},
+    {"sum": [[1]]},
+    {"sum": [1.5]},
+    {"sum": [True]},
+    {"twist": 3},
+    {"twist": {"by": [1], "of": {"sum": [1]}}},
+    {"twist": {"by": float("inf"), "of": {"sum": [1]}}},
+], ids=["ker-number", "ker-no-matrix", "rows-number", "rows-of-numbers", "src-number",
+        "matrix-no-rows", "quot-matrix-number", "quot-no-of", "dsum-number", "dsum-empty",
+        "sum-number", "sum-nested", "sum-float", "sum-bool", "twist-number",
+        "twist-by-list", "twist-by-infinity"])
+@pytest.mark.parametrize("command", ["chern", "coh"])
+def test_malformed_construction_exits_2(tmp_path, capsys, command, construction):
+    # a construction body of the wrong shape is an input error, caught by
+    # the parser, not a traceback from inside it
+    path = write(tmp_path, "node.json", {"n": 3, "construction": construction})
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
 def test_cb_answers_high_degree_at_once(tmp_path, monkeypatch, capsys):
     # three points fail from degree 2 on, decided with no value matrix
     def refuse(*args):

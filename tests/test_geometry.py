@@ -8,8 +8,7 @@ from pnbundles.forms import (Form, monomial_basis, monomial_values, normalize_po
                              random_points)
 from pnbundles.geometry import (DegenerateRestriction, GGVerdict, LineParam,
                                 cayley_bacharach, cayley_bacharach_oracle,
-                                edge_avoidance, gg_of_raw_kernel,
-                                is_globally_generated,
+                                edge_avoidance, is_globally_generated,
                                 quadric_line_component_test, reverify_witness,
                                 splitting_type_on_line)
 from pnbundles.graded import GradedMatrix
@@ -115,12 +114,9 @@ def test_gg_rejects_zero_sample_points(eng):
     # with no sampled and no hint point, a positive verdict would rest on
     # nothing: the twisted cotangent kernel has no sections at all
     om1 = ker_node(GradedMatrix.row(4, (0, 0, 0, 0), 1, X))
-    euler = GradedMatrix.row(4, (0, 0, 0, 0), 1, X)
     for trials in (0, -3):
         with pytest.raises(ValueError, match="needs a point"):
             is_globally_generated(om1, trials=trials, eng=eng)
-        with pytest.raises(ValueError, match="needs a point"):
-            gg_of_raw_kernel(euler, expected_rank=3, trials=trials)
 
 
 def test_reverify_witness_samples_only_the_hint_point(eng):
@@ -140,40 +136,17 @@ def test_gg_quotient_node(eng):
     assert is_globally_generated(tm1, trials=150, eng=eng).generated
 
 
-def test_gg_reports_fiber_dimension_before_span(eng):
+def test_gg_rejects_a_node_that_is_not_a_bundle():
     # O^4 modulo a column whose entries l0, l1 vanish together on a line L
     # is not a bundle: the dual row (l0, l1, 0, 0) is not onto, so the
-    # quotient is never certified, whatever the sample points are.
+    # quotient is never certified and never sampled, whatever the points
     l0 = X[0] + X[1] + X[2] + X[3]
     l1 = X[0] + X[1].scale(2) + X[2].scale(3) + X[3].scale(5)
     pinch = quot_node(GradedMatrix.column(4, -1, (0,) * 4, [l0, l1, "0", "0"]),
                       LineSum.make(4, (0,) * 4))
     with pytest.raises(CertificationError, match="^subobject map drops rank"):
-        eng.certify(sum_node(pinch, LineSum.make(4, (-1,))))
-    # The raw kernel of the row (l0, l1, 0, 0) is checked without a
-    # certificate: its fiber is 3-dimensional off L and 4-dimensional on
-    # L, and its degree-0 sections e2, e3 span no fiber.  Over F_7 the
-    # seeded sample meets L after a point off L; the fiber-dimension jump
-    # is the witness even though a span failure comes first.
-    q, trials, seed = 7, 60, 90021
-    row = GradedMatrix.row(4, (0,) * 4, 1, ["x0+x1+x2+x3", "x0+2*x1+3*x2+5*x3",
-                                            "0", "0"], q)
-    pts = random_points(4, trials, seed, q)
-    on_line = (pts.sum(axis=1) % q == 0) & (pts @ (1, 2, 3, 5) % q == 0)
-    assert not on_line[0] and on_line.any()
-    v = gg_of_raw_kernel(row, expected_rank=3, trials=trials, seed=seed, p=q)
-    assert not v.generated
-    assert v.witness_point == tuple(pts[np.flatnonzero(on_line)[0]].tolist())
-
-
-def test_gg_raw_kernel():
-    m = GradedMatrix.row(4, (2, 2, 2, 1), 3, [X[0], X[1], X[2], X[3] * X[3]])
-    v = gg_of_raw_kernel(m, expected_rank=3, trials=100)
-    assert v.generated
-    # the twisted cotangent kernel has no sections: every point witnesses
-    euler = GradedMatrix.row(4, (0, 0, 0, 0), 1, X)
-    v2 = gg_of_raw_kernel(euler, expected_rank=3, trials=20, seed=17)
-    assert not v2.generated and v2.witness_point is not None
+        is_globally_generated(sum_node(pinch, LineSum.make(4, (-1,))), trials=5,
+                              eng=Cohomology())
 
 
 def test_cayley_bacharach_cases():
@@ -310,7 +283,6 @@ def test_cayley_bacharach_builds_no_kernel_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("kernel basis built")
 
-    monkeypatch.setattr(geometry, "kernel_basis", refuse)
     monkeypatch.setattr(modp, "kernel_basis", refuse)
     monkeypatch.setattr(modp._SparseRows, "kernel_basis", refuse)
     monkeypatch.setattr(modp, "_free_unit_rows", refuse)
@@ -444,8 +416,8 @@ def _two_quotients():
     (lambda: _catalog_node("p2-c2-7-split-tangent-sq"), 1),
     (_two_quotients, 2)])
 def test_gg_evaluates_each_matrix_once(monkeypatch, eng, node, calls):
-    # a quotient matrix serves both the fiber ranks and the span check;
-    # `calls` counts the node's matrices, the sections' coefficient rows
+    # a quotient matrix repeated in a sum is evaluated once; `calls`
+    # counts the node's distinct matrices, the sections' coefficient rows
     # add one evaluation, all through the one evaluator core
     node = node()
     eng.h0_presented(node, 0).space_rows()

@@ -347,10 +347,10 @@ def test_ideal_piece_rows():
 
 def _catalog_section_models():
     """(id, nvars, ambient twists, l, rows) of every catalog section model
-    at l = 0 and 1, and of the sections of every raw-kernel presentation."""
+    at l = 0 and 1."""
     from pathlib import Path
 
-    from pnbundles.catalog import load_catalog, parse_matrix, parse_node
+    from pnbundles.catalog import load_catalog, parse_node
     from pnbundles.sheaves import Cohomology, ambient_twists, nvars_of
 
     cat = load_catalog(Path(__file__).resolve().parents[1] / "catalog" / "catalog.json")
@@ -358,13 +358,9 @@ def _catalog_section_models():
     for e in cat["entries"]:
         if "construction" in e:
             node = parse_node(e["construction"], e["n"] + 1, cat["prime"])
-            twists = ambient_twists(node)
-            for l in (0, 1) if twists is not None else ():
-                yield (e["id"], nvars_of(node), twists, l,
+            for l in (0, 1):
+                yield (e["id"], nvars_of(node), ambient_twists(node), l,
                        eng.h0_presented(node, l).space_rows())
-        if "gg_construction" in e:
-            m = parse_matrix(e["gg_construction"]["matrix"], e["n"] + 1, cat["prime"])
-            yield e["id"], m.nvars, m.src, 0, kernel_basis(m.graded_piece(0), cat["prime"])
 
 
 def test_piece_values_match_from_piece_on_catalog_sections():

@@ -7,18 +7,18 @@ import pytest
 
 from pnbundles import sheaves
 from pnbundles.catalog import load_catalog, parse_node
+from pnbundles.catalog_entries import rank5_p4_chain
 from pnbundles.chern import rr_chi
-from pnbundles.complexes import koszul
 from pnbundles.forms import Form, monomial_basis, random_points
 from pnbundles.graded import GradedMatrix, hn_matrix
-from pnbundles.modp import rank, zeros
+from pnbundles.modp import batched_rank, rank, relative_rank, zeros
 from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
                                KerNode, LineSum, Presented, QuotNode, Strands,
                                SumNode, block_rows, chern_of_node,
-                               default_window, fiber_dims, fiber_quot_rows,
-                               fiber_ranks, is_exact_cell, ker_node,
-                               kernel_into, map_rank, nvars_of, quot_node,
-                               rank_of, serre_flip, sum_node, twist_node)
+                               default_window, fiber_quot_rows, is_exact_cell,
+                               ker_node, kernel_into, map_rank, nvars_of,
+                               quot_node, rank_of, serre_flip, sum_node,
+                               twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -351,18 +351,18 @@ def test_indeterminate_cells_are_intervals():
     assert is_exact_cell(eng2.values(f, -4)[0])
 
 
+def rank5_dual_chain():
+    """The dual-chain form the catalog once shipped for
+    p4-rank5-kernel-twist: the dual of ker(d4^vee onto ker d5^vee) modulo
+    u^vee.  Its table runs through a quotient, and its H^n kernel bases
+    are large."""
+    d, u = rank5_p4_chain(P)
+    return DualNode(quot_node(u.dual(), ker_node(d[4].dual(), ker_node(d[5].dual()))))
+
+
 def test_rank5_fourfold_chain():
     eng2 = Cohomology()
-    y = [Form.variable(5, i) for i in range(5)]
-    kz = koszul([y[0], y[1], y[2], y[3], y[4] * y[4]])
-    d4, d5 = kz.diff(4).twist(4), kz.diff(5).twist(4)
-    from itertools import combinations
-    x4sq = y[4] * y[4]
-    assign = {(0, 1, 2): y[2], (0, 1, 3): y[3], (0, 1, 4): x4sq,
-              (0, 2, 3): y[0], (1, 2, 3): y[1], (2, 3, 4): x4sq}
-    u = GradedMatrix.row(5, d4.tgt, 2,
-                         [assign.get(t, "0") for t in combinations(range(5), 3)])
-    node = DualNode(quot_node(u.dual(), ker_node(d4.dual(), ker_node(d5.dual()))))
+    node = rank5_dual_chain()
     cv = chern_of_node(node)
     assert (cv.rank, cv.c) == (5, (4, 8, 8, 0))
     assert eng2.h(node, 1, -1) == 1
@@ -433,6 +433,29 @@ def test_engine_rejects_node_over_another_prime():
 
 
 # -- fibers at points: batched functions against a per-point reference ----------
+# The engine certifies every node instead of evaluating its fibers; the
+# batched fiber ranks and dimensions below are the tests' reference for that.
+
+def fiber_ranks(node, npts, ev, p):
+    """Rank at each point of the map defining a kernel or quotient node;
+    onto a quotient the rank is taken modulo the subobject's fiber."""
+    vals = ev(node.matrix)
+    if isinstance(node, KerNode) and isinstance(node.target, QuotNode):
+        return relative_rank(vals.transpose(0, 2, 1),
+                             fiber_quot_rows(node.target, npts, ev), p)
+    return batched_rank(vals, p)
+
+
+def fiber_dims(node, npts, ev, p):
+    """Fiber dimension at each point (a drop or jump marks degeneracy)."""
+    if isinstance(node, LineSum):
+        return np.full(npts, len(node.twists), dtype=np.int64)
+    if isinstance(node, KerNode):
+        return len(node.matrix.src) - fiber_ranks(node, npts, ev, p)
+    if isinstance(node, QuotNode):
+        return fiber_dims(node.inner, npts, ev, p) - fiber_ranks(node, npts, ev, p)
+    return sum(fiber_dims(q, npts, ev, p) for q in node.parts)
+
 
 def _values_at(m, x):
     return np.array([[f.evaluate(x) for f in row] for row in m.entries],
@@ -758,7 +781,8 @@ def test_models_are_built_on_first_read(monkeypatch):
 
 # -- the H^n strand: cells from ranks, kernel bases on first read ---------------
 
-@pytest.mark.parametrize("entry_id", ["p4-rank5-kernel-twist", "p3-kernel-onto-cotangent"])
+@pytest.mark.parametrize("entry_id", ["p4-rank5-kernel-twist", "p3-kernel-onto-cotangent",
+                                      "p4-rank5-dual-chain"])
 def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
     # the table builds no H^n matrix of a kernel, whose top rank is its
     # target's h^n cell, and a quotient's only for ranks: no kernel_into
@@ -771,7 +795,7 @@ def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
                         lambda m, l: built.append(m) or tops.append(real_hn(m, l)) or tops[-1])
     monkeypatch.setattr(sheaves, "kernel_into",
                         lambda T, target, p: calls.append(T) or real(T, target, p))
-    node = catalog_node(entry_id)
+    node = rank5_dual_chain() if entry_id == "p4-rank5-dual-chain" else catalog_node(entry_id)
     eng = Cohomology(CATALOG["prime"])
     eng.table(node, default_window(nvars_of(node) - 1))
     quotients = {nd.matrix for nd, _ in eng._strands if isinstance(nd, QuotNode)}
@@ -814,10 +838,10 @@ def test_kernel_top_rank_rule_matches_map_rank():
 
 
 def test_hn_strand_keeps_no_kernel_bases():
-    # what the engine holds after a table of the P^4 rank-5 kernel, traced
-    # as the memory freed when the engine goes; the H^n kernel bases of
-    # this table take about 7 MB, so building them with the cells fails
-    node = catalog_node("p4-rank5-kernel-twist")
+    # what the engine holds after a table of the P^4 rank-5 dual chain,
+    # traced as the memory freed when the engine goes; the H^n kernel bases
+    # of this table take about 7 MB, so building them with the cells fails
+    node = rank5_dual_chain()
     tracemalloc.start()
     try:
         eng = Cohomology(CATALOG["prime"])
@@ -830,3 +854,24 @@ def test_hn_strand_keeps_no_kernel_bases():
     finally:
         tracemalloc.stop()
     assert held < 5 * 2**20, held
+
+
+def test_gg_checked_catalog_nodes_have_full_fibers_at_the_sampled_points():
+    # `is_globally_generated` samples only the span of the sections: the
+    # node is certified first, so its fiber has the node's rank at every
+    # point; on every catalog node whose global generation is checked, at
+    # the points a verify samples (seed 90021, 500 trials, hint points
+    # first), the fiber dimension from the fiber ranks is that rank
+    checked = 0
+    for e in CATALOG["entries"]:
+        if e.get("expected", {}).get("gg", "stated-only") == "stated-only":
+            continue
+        node = catalog_node(e["id"])
+        nv = nvars_of(node)
+        hints = e["expected"].get("gg_hints", {}).get("points", [])
+        pts = np.concatenate([np.array(hints, dtype=np.int64).reshape(-1, nv),
+                              random_points(nv, 500, 90021, CATALOG["prime"])])
+        dims = fiber_dims(node, len(pts), lambda m: m.evaluate(pts), CATALOG["prime"])
+        assert (dims == rank_of(node)).all(), e["id"]
+        checked += 1
+    assert checked == 33
