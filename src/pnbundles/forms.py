@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .modp import DEFAULT_PRIME, _pow_mod_array, _reduce, check_prime, inv_mod
+from .modp import DEFAULT_PRIME, _pow_mod_array, _reduce, check_prime
 
 
 @lru_cache(maxsize=4096)
@@ -422,11 +422,11 @@ def format_form(f: Form) -> str:
 def normalize_point(coords, p: int = DEFAULT_PRIME) -> tuple[int, ...]:
     """Scale a nonzero coordinate vector so its last nonzero entry is 1."""
     vec = [int(c) % p for c in coords]
-    last = max((i for i, c in enumerate(vec) if c), default=None)
-    if last is None:
-        raise ValueError("projective point needs a nonzero coordinate")
-    s = inv_mod(vec[last], p)
-    return tuple(c * s % p for c in vec)
+    for c in reversed(vec):
+        if c:
+            s = pow(c, p - 2, p)
+            return tuple([x * s % p for x in vec])
+    raise ValueError("projective point needs a nonzero coordinate")
 
 
 def normalize_points(pts, p: int = DEFAULT_PRIME) -> np.ndarray:

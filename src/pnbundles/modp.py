@@ -33,12 +33,16 @@ elimination therefore runs in the smallest signed word that holds them
 int8 for p <= 11 (F_5), int16 for p <= 181, int32 for p <= 46337
 (F_32003), int64 above.  It works on one (n, m, N) copy of an (N, m, n)
 stack, the batch innermost, so every step is a reduction or an update
-across the contiguous batch.  A sum of products of residues is reduced every
-MAX_TERMS terms (`matmul_mod`), and MAX_TERMS * (p-1)**2 + p < 2**63 sets
-MAX_PRIME.  Its callers are `GradedMatrix.evaluate` (monomial values
-times coefficient vectors, section matrices included) and `_clear_shared`,
-whose product clears the pivot columns of the rows shared by the whole
-stack from the other rows of every matrix (one term per shared pivot).
+across the contiguous batch.  Each column step picks its pivot entries
+and rows by products with a bool mask, which keep the word, and takes
+the column itself as the multipliers f; the one Python int that meets
+the word is p, in the reduction.  A sum of products of residues is
+reduced every MAX_TERMS terms (`matmul_mod`), and MAX_TERMS * (p-1)**2
++ p < 2**63 sets MAX_PRIME.  Its callers are `GradedMatrix.evaluate`
+(monomial values times coefficient vectors, section matrices included)
+and `_clear_shared`, whose product clears the pivot columns of the rows
+shared by the whole stack from the other rows of every matrix (one term
+per shared pivot).
 """
 
 from __future__ import annotations
@@ -204,25 +208,29 @@ class _SparseRows:
     Gauss-Jordan: a pivot column is nonzero only in its pivot row."""
 
     def __init__(self, a: np.ndarray, p: int):
-        """From an int64 array a, not necessarily reduced mod p."""
+        """From an int64 array a, not necessarily reduced mod p: a tiny one
+        row by row from a.tolist(), a larger one from its nonzeros."""
         self.p = p
         self.pivot: dict[int, int] = {}
         self.used: set[int] = set()
-        self.rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+        self.rows: list[dict[int, int]]
         self.cols: list[set[int]] = [set() for _ in range(a.shape[1])]
         if a.size <= TINY_CELLS:  # fewer Python steps than numpy calls
-            entries = ((t, k, x) for t, row in enumerate(a.tolist())
-                       for k, v in enumerate(row) if (x := v % p))
+            self.rows = [{k: x for k, v in enumerate(row) if (x := v % p)}
+                         for row in a.tolist()]
+            for t, row in enumerate(self.rows):
+                for k in row:
+                    self.cols[k].add(t)
         else:
+            self.rows = [{} for _ in range(a.shape[0])]
             flat = a.ravel()
             at = np.flatnonzero(flat)  # faster than np.nonzero(a)
             v = flat[at] % p
             nz = v != 0
             i, j = np.divmod(at[nz], a.shape[1])
-            entries = zip(i.tolist(), j.tolist(), v[nz].tolist())
-        for t, k, x in entries:
-            self.rows[t][k] = x
-            self.cols[k].add(t)
+            for t, k, x in zip(i.tolist(), j.tolist(), v[nz].tolist()):
+                self.rows[t][k] = x
+                self.cols[k].add(t)
 
     def make_pivot(self, i: int, c: int) -> int:
         """Scale row i to 1 at column c and clear c from every other row;
@@ -462,11 +470,14 @@ def _batched_rank(a: np.ndarray, p: int) -> np.ndarray:
     """The elimination of `batched_rank` on every matrix of an int64
     stack, entries of any size; a is not modified.  It runs on one copy
     in the (n, m, N) layout and the word of the module docstring, and
-    takes as pivot the first candidate row, by a max over weighted rows."""
+    takes as pivot the first candidate row, by a max over weighted rows.
+    One bool mask, of the rows not yet pivot rows, picks the candidates
+    of a column and counts the rank.  Every row is updated, the pivot rows
+    too: they are never candidates again, so the update needs no mask."""
     if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1)  # rank(A) = rank(A^T)
     nbatch, m, n = a.shape
-    if a.size and (a.min() < 0 or a.max() >= p):
+    if a.size and a.view(np.uint64).max() >= p:  # a negative is >= 2**63
         a = np.mod(a, p)
     # column c of every matrix is cols[c], an (m, N) block, in the smallest
     # signed word that holds +-p * (p - 1) (see the module docstring)
@@ -476,27 +487,28 @@ def _batched_rank(a: np.ndarray, p: int) -> np.ndarray:
     cols = a.transpose(2, 1, 0).astype(word, order="C")
     # the first candidate row of a column weighs most: it is the pivot
     weights = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
-    used = np.zeros((m, nbatch), dtype=bool)
+    free = np.ones((m, nbatch), dtype=bool)  # not yet a pivot row
     for c in range(n):
         col = cols[c]
-        cand = ((col != 0) & ~used) * weights
+        cand = ((col != 0) & free) * weights
         best = cand.max(axis=0)
         has = best != 0
         sel = (cand == best) & has  # one-hot in each matrix with a pivot
-        used |= sel
+        free ^= sel
         if c + 1 == n or not has.any():
             continue
-        # row_i <- piv * row_i - f_i * pivot_row on the trailing columns,
-        # with f_i = 0 on pivot rows (and piv = 1 where there is no pivot)
+        # row_i <- piv * row_i - col_i * pivot_row on the trailing columns
+        # (piv = 1 where there is no pivot)
         piv = (col * sel).sum(axis=0, dtype=col.dtype)
         piv += ~has
-        f = np.where(used, 0, col)
         rest = cols[c + 1:]
         prow = (rest * sel).sum(axis=1, dtype=rest.dtype)
         rest *= piv
-        rest -= prow[:, None, :] * f
+        rest -= prow[:, None, :] * col
         _reduce(rest, p)
-    return used.sum(axis=0)
+    # counted in the weights' word, which holds m: a bool sum to int64 is
+    # several times slower
+    return m - free.sum(axis=0, dtype=weights.dtype).astype(np.intp)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

@@ -375,6 +375,14 @@ def fiber_quot_rows(node, npts: int, ev) -> np.ndarray:
     raise ValueError("unsupported node for fiber evaluation")
 
 
+def _vanishes_somewhere(row, n: int) -> bool:
+    """True when a row of forms on P^n is zero at some point over the
+    algebraic closure because it has at most n nonzero entries, none of
+    them a constant: n or fewer hypersurfaces of P^n meet."""
+    nonzero = [f for f in row if not f.is_zero()]
+    return len(nonzero) <= n and all(f.degree > 0 for f in nonzero)
+
+
 # -- cohomology cells ----------------------------------------------------------
 
 Cell = object  # int (exact) or (lo, hi) interval for indeterminate cells
@@ -515,17 +523,22 @@ class Cohomology:
         globally generated for d >= reg (Mumford, Lecture 14), so m is onto
         if H^0(m(d)) has rank h^0(target(d)), exact, modulo the quot rows
         of target's H^0 model.  For a line sum reg = g, the test is full
-        row rank, a zero row is rejected at once, and the default bound
-        loses no verdict of a maximal-minor search up to degree B = max(2
-        (max src + g) + 2, 8): if that ideal holds every form of degree
-        e <= B, it annihilates the cokernel (Fitting), and g + e certifies.
+        row rank, and the default bound loses no verdict of a maximal-minor
+        search up to degree B = max(2 (max src + g) + 2, 8): if that ideal
+        holds every form of degree e <= B, it annihilates the cokernel
+        (Fitting), and g + e certifies.  A line-sum row with at most n
+        nonzero entries, none of them a constant, is rejected before any
+        piece: those forms have a common zero over the algebraic closure
+        (projective dimension theorem, Hartshorne I.7.2), and the fiber
+        map misses that row's summand there.  A zero row is the case of
+        no entry.
         """
-        if isinstance(target, LineSum) and any(all(f.is_zero() for f in r) for r in m.entries):
+        n = nvars_of(target) - 1
+        if isinstance(target, LineSum) and any(_vanishes_somewhere(r, n) for r in m.entries):
             return None
         g = -min(m.tgt, default=0)
         if max_degree is None:
             max_degree = g + max(2 * (max(m.src, default=0) + g) + 2, 8)
-        n = nvars_of(target) - 1
         reg = None
         for d in range(-max(m.tgt, default=0), max_degree + 1):
             if reg is None:  # an interval cell is never == 0

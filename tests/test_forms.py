@@ -193,6 +193,37 @@ def test_normalize_point():
         normalize_point((0, 0, 0), 5)
 
 
+def _ref_normalize_point(coords, p):
+    """Scale by the inverse of the last nonzero coordinate, found by a
+    forward search and Python's own modular inverse."""
+    vec = [int(c) % p for c in coords]
+    last = max(i for i, c in enumerate(vec) if c)
+    inv = pow(vec[last], -1, p)
+    return tuple(c * inv % p for c in vec)
+
+
+@pytest.mark.parametrize("p", [5, 101, P, MAX_PRIME])
+def test_normalize_point_matches_scalar_reference(p):
+    # every position of the last nonzero coordinate, zeros after it,
+    # negative entries, entries >= p, and numpy integers
+    rng = np.random.default_rng([p, 11])
+    for nvars in (1, 3, 4):
+        for last in range(nvars):
+            for _ in range(20):
+                vec = rng.integers(-3 * p, 3 * p, size=nvars)
+                vec[last + 1:] = rng.choice([0, p, -p], size=nvars - last - 1)
+                vec[last] = int(rng.integers(1, p)) + p * int(rng.integers(-2, 3))
+                want = _ref_normalize_point(vec.tolist(), p)
+                for coords in (vec.tolist(), tuple(vec), vec,
+                               [np.int32(c % p) for c in vec]):
+                    got = normalize_point(coords, p)
+                    assert got == want and got[last] == 1
+                    assert all(type(c) is int for c in got)
+    for zero in ((0, 0, 0), (p, -p, 2 * p), np.zeros(4, dtype=np.int64), ()):
+        with pytest.raises(ValueError):
+            normalize_point(zero, p)
+
+
 @pytest.mark.parametrize("p", [3, 5, P, MAX_PRIME])
 def test_normalize_points_matches_normalize_point(p):
     # every last-nonzero position, zero coordinates, entries outside [0, p)

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import numpy as np
@@ -328,15 +329,46 @@ def test_epi_certificate_rejects_zero_row_before_any_piece(monkeypatch):
 
 
 def test_epi_certificate_starts_at_top_generator_degree_without_zero_rows():
-    # O(-1)^4 + O(-12) -> O + O(-10), rows (x0..x3, 0) and (0, 0, 0, 0, x0^2):
-    # no row is zero and the degree-1 piece has full row rank, but the
-    # cokernel O(-10)/x0^2 O(-12) never vanishes; a search below g = 10
-    # would certify it
-    m = GradedMatrix.make(4, (-1,) * 4 + (-12,), (0, -10),
-                          [X + [Form.zero(4, 11)], ["0"] * 4 + [X[0] * X[0]]])
+    # O(-1)^4 + O(-12)^4 -> O + O(-10), rows (x0..x3, 0) and (0, x0 x0..x3):
+    # no row is zero, each has more than n = 3 nonzero entries (so no early
+    # reject applies), and the degree-1 piece has full row rank, but the
+    # cokernel O(-10)/x0 (x0..x3) O(-12) lives on x0 = 0; a search below
+    # g = 10 would certify it (the bound 12 keeps the pieces small)
+    m = GradedMatrix.make(4, (-1,) * 4 + (-12,) * 4, (0, -10),
+                          [X + ["0"] * 4, ["0"] * 4 + [X[0] * x for x in X]])
     piece = m.graded_piece(1)
     assert rank(piece, P) == piece.shape[0] > 0
     assert epi_certificate(m, max_degree=12) == (False, None)
+
+
+def test_epi_certificate_rejects_a_row_with_a_common_zero(monkeypatch):
+    # O(-1)^4 + O(-12) -> O + O(-10), rows (x0..x3, 0) and (0, 0, 0, 0, x0^2):
+    # the second row vanishes on x0 = 0, so the map is not onto; at the
+    # default bound a search would run to degree 30 (about 4 s) to say so
+    m = GradedMatrix.make(4, (-1,) * 4 + (-12,), (0, -10),
+                          [X + [Form.zero(4, 11)], ["0"] * 4 + [X[0] * X[0]]])
+    built = []
+    real = GradedMatrix.graded_piece
+    monkeypatch.setattr(GradedMatrix, "graded_piece",
+                        lambda self, d: built.append(d) or real(self, d))
+    start = time.perf_counter()
+    assert epi_certificate(m) == (False, None)
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    # at most n nonzero entries of positive degree have a common zero: on
+    # P^3 (x0, x1 x2, x3^3), and on P^2 (x0, x1)
+    three = GradedMatrix.row(4, (0, -1, -2), 1,
+                             [X[0], X[1] * X[2], X[3] * X[3] * X[3]])
+    assert epi_certificate(three) == (False, None)
+    y = [Form.variable(3, i) for i in range(3)]
+    assert epi_certificate(GradedMatrix.row(3, (0, 0), 1, y[:2])) == (False, None)
+    assert built == []
+    # the rule keeps its hands off n + 1 entries and off a constant entry:
+    # both maps are onto, and certified by a piece
+    assert epi_certificate(GradedMatrix.row(3, (0,) * 3, 1, y)) == (True, 0)
+    unit = GradedMatrix.row(4, (0, -1), 0, [Form.make(4, 0, {(0,) * 4: 3}), X[0]])
+    assert epi_certificate(unit) == (True, 0)
+    assert built
 
 
 def test_ideal_piece_rows():

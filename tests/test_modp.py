@@ -544,6 +544,74 @@ def test_batched_rank_kernel_many_rows():
     assert modp._batched_rank(stack, P).tolist() == [1] * len(stack)
 
 
+def _plane_stacks(rng, k, p, nbatch=40):
+    """(N, k, 3) stacks of points of P^2 as the Cayley-Bacharach sweep
+    builds them: random points, rank-deficient ones (a repeated point,
+    points on one line, a multiple of a point), an all-zero column, and
+    entries outside [0, p)."""
+    pts = rng.integers(0, p, size=(nbatch, k, 3))
+    yield pts
+    deficient = pts.copy()
+    for a in deficient:
+        a[:] = _rank_deficient(rng, k, 3, p)
+    yield deficient
+    if k >= 2:
+        line = rng.integers(0, p, size=(nbatch, k, 2)) @ rng.integers(0, p, size=(2, 3))
+        yield line % p
+        multiple = pts.copy()
+        multiple[:, -1] = pts[:, 0] * rng.integers(1, p, size=(nbatch, 1)) % p
+        yield multiple
+    for c in range(3):
+        zero_col = pts.copy()
+        zero_col[:, :, c] = 0
+        yield zero_col
+    yield pts + p * rng.integers(0, 2, size=pts.shape)  # in [0, 2p)
+    yield pts - p * rng.integers(0, 4, size=pts.shape)
+    yield rng.integers(-p * p, p * p, size=(nbatch, k, 3))
+
+
+@pytest.mark.parametrize("p", [5, 11, 13, 181, DEFAULT_PRIME])
+def test_batched_rank_column_step_on_sweep_stacks(p):
+    # the shapes of the Cayley-Bacharach sweep: k = 0..6 points of P^2,
+    # every stack and its all-but-one sub-stacks (strided copies), against
+    # the reference; neither batched_rank nor its kernel changes the stack
+    rng = np.random.default_rng([p, 29])
+    for k in range(7):
+        for stack in _plane_stacks(rng, k, p):
+            want = _check_batched_rank(stack, p)
+            before = stack.copy()
+            assert modp._batched_rank(stack, p).tolist() == want
+            assert (stack == before).all()
+            for j in range(k):
+                rest = stack[:, [t for t in range(k) if t != j], :]
+                _check_batched_rank(rest, p)
+
+
+@pytest.mark.parametrize("p", [5, 101, DEFAULT_PRIME, MAX_PRIME])
+def test_tiny_sparse_rows_match_the_numpy_build(p, monkeypatch):
+    # the tiny constructor (at most TINY_CELLS cells) and the numpy one
+    # give the same rows and column index, on inputs around the threshold
+    # with negative entries, entries >= p, and zero rows
+    rng = np.random.default_rng([p, 43])
+    t = modp.TINY_CELLS
+    for cells in (t - 1, t, t + 1):
+        m, n = _shape_of(cells)
+        for a in (rng.integers(-2 * p, 2 * p, size=(m, n)),
+                  rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < 0.3),
+                  rng.choice([0, p, -p, 1, -1, p + 1], size=(m, n))):
+            a[rng.integers(m)] = 0
+            a[rng.integers(m)] = p
+            built = {}
+            for name, limit in (("tiny", cells), ("numpy", cells - 1)):
+                monkeypatch.setattr(modp, "TINY_CELLS", limit)
+                s = modp._SparseRows(a, p)
+                built[name] = (s.rows, s.cols)
+                assert all(v == a[i, j] % p and v for i, row in enumerate(s.rows)
+                           for j, v in row.items())
+                assert all(all(type(v) is int for v in row.values()) for row in s.rows)
+            assert built["tiny"] == built["numpy"]
+
+
 def test_batched_rank_eliminates_only_the_residual(monkeypatch):
     # 35 shared rows of rank 30 and 6 varying rows: rank 30 + the rank of
     # the 6 rows with the 30 pivot columns cleared, 5 columns left
