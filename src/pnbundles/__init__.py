@@ -24,8 +24,8 @@ from .idealtests import epi_certificate
 from .modp import DEFAULT_PRIME, kernel_basis, rank, rref, solve
 from .pencil import (PencilClass, classify, is_stable, linear_matrix_2x4,
                      minor_ideal_equals, to_pencil)
-from .sheaves import (CohTable, Cohomology, DualNode, KerNode, LineSum,
-                      QuotNode, SumNode, chern_of_node, ker_node, quot_node,
+from .sheaves import (CohTable, Cohomology, KerNode, LineSum, QuotNode,
+                      SumNode, chern_of_node, dual_node, ker_node, quot_node,
                       rank_of, sum_node, twist_node)
 from .spectra import (Spectrum, c3_from_spectrum, enumerate_spectra,
                       genus_from_c3, h1_from_spectrum, h2_from_spectrum)

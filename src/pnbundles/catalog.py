@@ -2,7 +2,8 @@
 
 The catalog is a JSON file: each entry carries a construction (an
 expression tree of sums, kernels, quotients, twists and duals, with forms
-as plain strings in x0..xn), the expected Chern data, selected cohomology
+as plain strings in x0..xn; a dual is parsed into the kernel, quotient or
+sum that presents it), the expected Chern data, selected cohomology
 cells, a global-generation expectation and, for pencil entries, the
 expected classification.  verify_all recomputes everything and compares;
 failures are reported per entry, never raised mid-run.
@@ -19,8 +20,8 @@ from .geometry import LineParam, is_globally_generated, reverify_witness
 from .graded import GradedMatrix
 from .modp import DEFAULT_PRIME
 from .pencil import classify, linear_matrix_2x4, minor_ideal_equals
-from .sheaves import (CertificationError, Cohomology, DualNode, LineSum,
-                      chern_of_node, default_window, is_exact_cell, ker_node,
+from .sheaves import (CertificationError, Cohomology, LineSum, chern_of_node,
+                      default_window, dual_node, is_exact_cell, ker_node,
                       quot_node, sum_node, twist_node)
 
 
@@ -91,7 +92,11 @@ def parse_node(obj, nvars: int, p: int):
             raise CatalogError(f"{what} needs a nonempty list of nodes, got {body!r}")
         return sum_node(*(parse_node(q, nvars, p) for q in body))
     if kind == "dual":
-        return DualNode(parse_node(body, nvars, p))
+        node = parse_node(body, nvars, p)
+        try:
+            return dual_node(node)
+        except ValueError as exc:
+            raise CatalogError(str(exc)) from None
     raise CatalogError(f"unknown node kind {kind!r}")
 
 

@@ -1,15 +1,17 @@
 """Sheaf expression DAG on P^n and its exact cohomology engine.
 
 Nodes are built from sums of line bundles by kernels of certified
-surjections, quotients by certified subbundle inclusions, twists, direct
-sums and duals.  Every node with section support carries, twist by twist,
-an explicit model of H^0 (vectors of forms inside an ambient line-bundle
-sum) and of H^n (a subquotient of the dual monomial model of the ambient
-top cohomology); long-exact-sequence splices then compute full tables
-with every connecting rank explicit.
+surjections, quotients by certified subbundle inclusions, twists and
+direct sums.  A dual is no node kind of its own: `dual_node` writes it as
+one of these (Okonek-Schneider-Spindler II.3).  Every node carries, twist
+by twist, an explicit model of H^0 (vectors of forms inside an ambient
+line-bundle sum) and, where its chain provides one, of H^n (a subquotient
+of the dual monomial model of the ambient top cohomology);
+long-exact-sequence splices then compute full tables with every
+connecting rank explicit.
 
 The engine keeps one record per (node, twist l), a `Strands`: the cells
-h^0..h^n of node(l), its H^0 model and its H^n model, or None for a
+h^0..h^n of node(l), its H^0 model and its H^n model, or None for an H^n
 model the chain cannot provide.  A record's cells are computed once, from
 the records of the node's children, and never changed.  Its models are
 built on first read, at most once.  A quotient's H^n cell comes from
@@ -46,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import (ChernVector, dual_chern, line_sum_chern, whitney_div,
-                    whitney_mul)
+from .chern import ChernVector, line_sum_chern, whitney_div, whitney_mul
 from .forms import space_dim
 from .graded import GradedMatrix, hn_matrix
 from .modp import (DEFAULT_PRIME, check_prime, extend_to_complement,
@@ -96,16 +97,6 @@ class SumNode:
     parts: tuple
 
 
-@dataclass(frozen=True)
-class DualNode:
-    """Dual of a node: Chern data flips sign, tables flip by top-duality.
-
-    No section models are available through this wrapper; use an explicit
-    presentation of the dual when sections or fibers are needed.
-    """
-    inner: object
-
-
 Node = object
 
 
@@ -118,8 +109,6 @@ def nvars_of(node) -> int:
         return node.matrix.nvars
     if isinstance(node, SumNode):
         return nvars_of(node.parts[0])
-    if isinstance(node, DualNode):
-        return nvars_of(node.inner)
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
@@ -130,8 +119,6 @@ def prime_of(node) -> int:
         return node.matrix.p
     if isinstance(node, SumNode):
         return prime_of(node.parts[0])
-    if isinstance(node, DualNode):
-        return prime_of(node.inner)
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
@@ -144,12 +131,10 @@ def rank_of(node) -> int:
         return rank_of(node.inner) - len(node.matrix.src)
     if isinstance(node, SumNode):
         return sum(rank_of(q) for q in node.parts)
-    if isinstance(node, DualNode):
-        return rank_of(node.inner)
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
-def ambient_twists(node) -> tuple | None:
+def ambient_twists(node) -> tuple:
     """Twists of the line-bundle sum through which sections are written."""
     if isinstance(node, LineSum):
         return node.twists
@@ -158,15 +143,7 @@ def ambient_twists(node) -> tuple | None:
     if isinstance(node, QuotNode):
         return ambient_twists(node.inner)
     if isinstance(node, SumNode):
-        twists = []
-        for q in node.parts:
-            t = ambient_twists(q)
-            if t is None:
-                return None
-            twists.extend(t)
-        return tuple(twists)
-    if isinstance(node, DualNode):
-        return None
+        return tuple(a for q in node.parts for a in ambient_twists(q))
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
@@ -174,8 +151,7 @@ def ker_node(matrix: GradedMatrix, target=None) -> KerNode:
     """Kernel of matrix onto `target` (default: the line sum of its rows)."""
     if target is None:
         target = LineSum.make(matrix.nvars, matrix.tgt, matrix.p)
-    amb = ambient_twists(target)
-    if amb is None or tuple(matrix.tgt) != tuple(amb):
+    if tuple(matrix.tgt) != tuple(ambient_twists(target)):
         raise ValueError("matrix target twists must match the target's ambient")
     if not isinstance(target, (LineSum, KerNode, QuotNode)):
         raise ValueError("unsupported kernel target")
@@ -186,8 +162,7 @@ def ker_node(matrix: GradedMatrix, target=None) -> KerNode:
 
 
 def quot_node(matrix: GradedMatrix, inner) -> QuotNode:
-    amb = ambient_twists(inner)
-    if amb is None or tuple(matrix.tgt) != tuple(amb):
+    if tuple(matrix.tgt) != tuple(ambient_twists(inner)):
         raise ValueError("matrix target twists must match the inner ambient")
     if not isinstance(inner, (LineSum, KerNode)):
         raise ValueError("quotients are taken in line sums or kernel nodes")
@@ -209,8 +184,6 @@ def twist_node(node, t: int):
         return QuotNode(node.matrix.twist(t), twist_node(node.inner, t))
     if isinstance(node, SumNode):
         return SumNode(tuple(twist_node(q, t) for q in node.parts))
-    if isinstance(node, DualNode):
-        return DualNode(twist_node(node.inner, -t))
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
@@ -222,6 +195,31 @@ def sum_node(*parts) -> SumNode:
         else:
             flat.append(q)
     return SumNode(tuple(flat))
+
+
+def dual_node(node):
+    """The dual of a node as a node of the other kinds (Okonek-Schneider-
+    Spindler II.3): a line sum's twists negate, a sum dualizes its parts,
+    ker(phi: A ->> B) onto a line sum is quot(phi^T, A^vee), a quotient of
+    a line sum by psi is ker(psi^T), and a monad quot(psi, ker(phi)) is
+    quot(phi^T, ker(psi^T)), as psi^T phi^T = (phi psi)^T = 0.  A kernel
+    onto a kernel or a quotient has no such form: ValueError."""
+    if isinstance(node, LineSum):
+        return LineSum(node.nvars, tuple(-a for a in node.twists), node.p)
+    if isinstance(node, SumNode):
+        return SumNode(tuple(dual_node(q) for q in node.parts))
+    if isinstance(node, QuotNode) and isinstance(node.inner, LineSum):
+        return ker_node(node.matrix.dual())
+    kernel = node.inner if isinstance(node, QuotNode) else node
+    if not isinstance(kernel, KerNode):
+        raise TypeError(f"not a sheaf node: {node!r}")
+    if not isinstance(kernel.target, LineSum):
+        kind = "kernel" if isinstance(kernel.target, KerNode) else "quotient"
+        raise ValueError(f"no one-step dual of a kernel onto a {kind}")
+    phi_t = kernel.matrix.dual()
+    if kernel is node:
+        return quot_node(phi_t, LineSum(phi_t.nvars, phi_t.tgt, phi_t.p))
+    return quot_node(phi_t, ker_node(node.matrix.dual()))
 
 
 def chern_of_node(node) -> ChernVector:
@@ -240,8 +238,6 @@ def chern_of_node(node) -> ChernVector:
         for q in node.parts[1:]:
             acc = whitney_mul(acc, chern_of_node(q))
         return acc
-    if isinstance(node, DualNode):
-        return dual_chern(chern_of_node(node.inner))
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
@@ -279,17 +275,18 @@ class Presented:
 
 class Strands:
     """What the engine knows about one node(l): its cells h^0..h^n, and
-    its H^0 and H^n models for splices through it (None where the chain
-    provides no model).  A model is given built, or as a function that
-    builds it; that function runs on the first read of the model, once."""
+    its H^0 and H^n models for splices through it (the H^n model is None
+    where the chain provides none).  A model is given built, or as a
+    function that builds it; that function runs on the first read of the
+    model, once."""
     __slots__ = ("cells", "_h0", "_hn")
 
-    def __init__(self, cells: tuple, h0=None, hn=None):
+    def __init__(self, cells: tuple, h0, hn):
         self.cells = cells
         self._h0, self._hn = h0, hn
 
     @property
-    def h0(self) -> Presented | None:
+    def h0(self) -> Presented:
         if callable(self._h0):
             self._h0 = self._h0()
         return self._h0
@@ -378,9 +375,12 @@ def fiber_quot_rows(node, npts: int, ev) -> np.ndarray:
 def _vanishes_somewhere(row, n: int) -> bool:
     """True when a row of forms on P^n is zero at some point over the
     algebraic closure because it has at most n nonzero entries, none of
-    them a constant: n or fewer hypersurfaces of P^n meet."""
+    them a constant (n or fewer hypersurfaces of P^n meet), or because one
+    variable x_i divides every entry (the row is zero on V(x_i))."""
     nonzero = [f for f in row if not f.is_zero()]
-    return len(nonzero) <= n and all(f.degree > 0 for f in nonzero)
+    if len(nonzero) <= n and all(f.degree > 0 for f in nonzero):
+        return True
+    return any(all(e[i] for f in nonzero for e, _ in f.terms) for i in range(n + 1))
 
 
 # -- cohomology cells ----------------------------------------------------------
@@ -480,9 +480,6 @@ class Cohomology:
             for q in node.parts:
                 self.certify(q)
             return True
-        if isinstance(node, DualNode):
-            self.certify(node.inner)
-            return True
         if isinstance(node, KerNode):
             self.certify(node.target)
             m, target = node.matrix, node.target
@@ -526,12 +523,13 @@ class Cohomology:
         row rank, and the default bound loses no verdict of a maximal-minor
         search up to degree B = max(2 (max src + g) + 2, 8): if that ideal
         holds every form of degree e <= B, it annihilates the cokernel
-        (Fitting), and g + e certifies.  A line-sum row with at most n
-        nonzero entries, none of them a constant, is rejected before any
-        piece: those forms have a common zero over the algebraic closure
-        (projective dimension theorem, Hartshorne I.7.2), and the fiber
-        map misses that row's summand there.  A zero row is the case of
-        no entry.
+        (Fitting), and g + e certifies.  A line-sum row with a common zero
+        is rejected before any piece, since the fiber map misses that
+        row's summand there.  Two exact rules find one: at most n nonzero
+        entries, none of them a constant, meet over the algebraic closure
+        (projective dimension theorem, Hartshorne I.7.2), and entries all
+        divisible by one variable x_i vanish on V(x_i).  A zero row is
+        the case of no entry.
         """
         n = nvars_of(target) - 1
         if isinstance(target, LineSum) and any(_vanishes_somewhere(r, n) for r in m.entries):
@@ -577,10 +575,7 @@ class Cohomology:
         return self.values(node, l)[i]
 
     def h0_presented(self, node, l: int) -> Presented:
-        ps = self.strands(node, l).h0
-        if ps is None:
-            raise ValueError(f"no section model available for {type(node).__name__}")
-        return ps
+        return self.strands(node, l).h0
 
     def hn_presented(self, node, l: int) -> Presented | None:
         return self.strands(node, l).hn
@@ -603,10 +598,6 @@ class Cohomology:
                 cells.append(shift_cell(0, lo, hi))
             return Strands(tuple(cells), lambda: block_presented([q.h0 for q in parts]),
                            lambda: block_presented([q.hn for q in parts]))
-
-        if isinstance(node, DualNode):
-            inner = self.strands(node.inner, -l - n - 1)
-            return Strands(tuple(reversed(inner.cells)), None, None)
 
         if isinstance(node, KerNode):
             return self._kernel_strands(node, l)
@@ -728,13 +719,3 @@ class Cohomology:
         """
         return ker_node(self.h0_basis(node, 0), node)
 
-
-def serre_flip(table: CohTable) -> CohTable:
-    """Table of the dual bundle via top-degree duality on P^n."""
-    n = table.n
-    cells = {}
-    lo, hi = -table.hi - n - 1, -table.lo - n - 1
-    for l in range(lo, hi + 1):
-        for i in range(n + 1):
-            cells[(i, l)] = table.h(n - i, -l - n - 1)
-    return CohTable(n, lo, hi, cells)

@@ -9,8 +9,9 @@ from pnbundles.catalog import (CatalogError, load_catalog, parse_catalog,
                                verify_entry)
 from pnbundles.catalog_entries import build_catalog, rank5_p4_chain
 from pnbundles.forms import format_form
-from pnbundles.sheaves import (Cohomology, DualNode, KerNode, LineSum, QuotNode,
+from pnbundles.sheaves import (Cohomology, KerNode, LineSum, QuotNode,
                                chern_of_node, default_window)
+from test_sheaves import flipped, serre_flip
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "catalog" / "catalog.json"
 
@@ -164,17 +165,23 @@ def _dual_forms(p):
 def test_shipped_forms_match_the_dual_forms(catalog, entry_id, far):
     # the kernel and quotient forms have the Chern data and, cell for cell
     # and exactly, the tables of the dual forms they replace, over the
-    # verify window and, on P^4, far twists too
+    # verify window and, on P^4, far twists too; each dual form holds a
+    # kernel onto a kernel or a quotient, which has no one-step dual, so
+    # the parser refuses it, and its table is its inner node's flipped by
+    # Serre duality
     p = catalog["prime"]
     entry = next(e for e in catalog["entries"] if e["id"] == entry_id)
     n = entry["n"]
     new = parse_node(entry["construction"], n + 1, p)
-    old = parse_node(_dual_forms(p)[entry_id], n + 1, p)
-    assert isinstance(old, DualNode) and not isinstance(new, DualNode)
-    assert chern_of_node(new) == chern_of_node(old)
+    old = _dual_forms(p)[entry_id]
+    shape = "kernel" if entry_id == "p4-rank5-kernel-twist" else "quotient"
+    with pytest.raises(CatalogError, match=f"no one-step dual of a kernel onto a {shape}$"):
+        parse_node(old, n + 1, p)
+    inner = parse_node(old["dual"], n + 1, p)
+    assert chern_of_node(new) == chern.dual_chern(chern_of_node(inner))
     assert "window" not in entry
     eng = Cohomology(p)
     for window in (default_window(n), *far):
-        a, b = eng.table(old, window), eng.table(new, window)
+        a, b = serre_flip(eng.table(inner, flipped(window, n))), eng.table(new, window)
         assert a.cells == b.cells
         assert a.exact_columns() == b.exact_columns() == list(window)

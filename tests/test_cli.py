@@ -15,13 +15,14 @@ def write(tmp_path, name, payload):
     return str(p)
 
 
+# the README's example node
+_KERNEL = {"ker": {"matrix": {"src": [2, 2, 2, 1], "tgt": [3],
+                              "rows": [["x0", "x1", "x2", "x3^2"]]}}}
+
+
 @pytest.fixture()
 def kernel_node_file(tmp_path):
-    return write(tmp_path, "node.json", {
-        "n": 3,
-        "construction": {"ker": {"matrix": {
-            "src": [2, 2, 2, 1], "tgt": [3],
-            "rows": [["x0", "x1", "x2", "x3^2"]]}}}})
+    return write(tmp_path, "node.json", {"n": 3, "construction": _KERNEL})
 
 
 def test_chern_command(kernel_node_file, capsys):
@@ -36,9 +37,13 @@ def test_rr_command(capsys):
     assert json.loads(capsys.readouterr().out)["chi"] == 10
 
 
-def _catalog_node_file(tmp_path, entry_id):
+def _catalog_entry(entry_id):
     cat = json.loads(Path(CATALOG).read_text(encoding="utf-8"))
-    entry = next(e for e in cat["entries"] if e["id"] == entry_id)
+    return next(e for e in cat["entries"] if e["id"] == entry_id)
+
+
+def _catalog_node_file(tmp_path, entry_id):
+    entry = _catalog_entry(entry_id)
     return write(tmp_path, f"{entry_id}.json",
                  {"n": entry["n"], "construction": entry["construction"]})
 
@@ -124,6 +129,15 @@ def test_coh_rejects_kernel_map_with_zero_row(tmp_path, capsys):
 def test_gg_command(kernel_node_file, capsys):
     assert main(["--trials", "60", "gg", kernel_node_file, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["generated"] is True
+
+
+def test_gg_runs_on_a_dual(tmp_path, capsys):
+    # a dual is written as a kernel or a quotient, so it has sections: the
+    # README kernel's dual twisted by 3 is a quotient of O(1)^3 + O(2)
+    node = write(tmp_path, "dual.json",
+                 {"n": 3, "construction": {"twist": {"by": 3, "of": {"dual": _KERNEL}}}})
+    assert main(["--trials", "60", "gg", node]) == 0
+    assert capsys.readouterr().out.startswith("generated-up-to-sampling")
 
 
 def test_gg_negative_exit_code(tmp_path, capsys):
@@ -314,10 +328,12 @@ _ROW = {"src": [0, 0], "tgt": [1], "rows": [["x0", "x1"]]}
     {"twist": 3},
     {"twist": {"by": [1], "of": {"sum": [1]}}},
     {"twist": {"by": float("inf"), "of": {"sum": [1]}}},
+    # a kernel onto a kernel: its dual has no one-step presentation
+    {"dual": _catalog_entry("p3-kernel-onto-cotangent")["construction"]},
 ], ids=["ker-number", "ker-no-matrix", "rows-number", "rows-of-numbers", "src-number",
         "matrix-no-rows", "quot-matrix-number", "quot-no-of", "dsum-number", "dsum-empty",
         "sum-number", "sum-nested", "sum-float", "sum-bool", "twist-number",
-        "twist-by-list", "twist-by-infinity"])
+        "twist-by-list", "twist-by-infinity", "dual-of-kernel-onto-kernel"])
 @pytest.mark.parametrize("command", ["chern", "coh"])
 def test_malformed_construction_exits_2(tmp_path, capsys, command, construction):
     # a construction body of the wrong shape is an input error, caught by
@@ -327,6 +343,8 @@ def test_malformed_construction_exits_2(tmp_path, capsys, command, construction)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+    if "dual" in construction:
+        assert "no one-step dual of a kernel onto a kernel" in captured.err
 
 
 def test_cb_answers_high_degree_at_once(tmp_path, monkeypatch, capsys):

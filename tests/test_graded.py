@@ -8,6 +8,7 @@ from pnbundles.forms import Form, monomial_basis, random_points, space_dim
 from pnbundles.graded import GradedMatrix, hn_matrix, identity_matrix, piece_values
 from pnbundles.idealtests import epi_certificate, ideal_piece_rows
 from pnbundles.modp import MAX_PRIME, batched_rank, kernel_basis, rank
+from pnbundles.sheaves import _vanishes_somewhere
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -329,13 +330,16 @@ def test_epi_certificate_rejects_zero_row_before_any_piece(monkeypatch):
 
 
 def test_epi_certificate_starts_at_top_generator_degree_without_zero_rows():
-    # O(-1)^4 + O(-12)^4 -> O + O(-10), rows (x0..x3, 0) and (0, x0 x0..x3):
-    # no row is zero, each has more than n = 3 nonzero entries (so no early
-    # reject applies), and the degree-1 piece has full row rank, but the
-    # cokernel O(-10)/x0 (x0..x3) O(-12) lives on x0 = 0; a search below
+    # O(-1)^4 + O(-12)^4 -> O + O(-10), rows (x0..x3, 0) and
+    # (0, x0 x1, x0 x2, x1 x2, x1 x3): no row is zero, each has more than
+    # n = 3 nonzero entries and no variable divides a whole row (so no
+    # early reject applies), and the degree-1 piece has full row rank, but
+    # the second row vanishes on the line x0 = x1 = 0; a search below
     # g = 10 would certify it (the bound 12 keeps the pieces small)
     m = GradedMatrix.make(4, (-1,) * 4 + (-12,) * 4, (0, -10),
-                          [X + ["0"] * 4, ["0"] * 4 + [X[0] * x for x in X]])
+                          [X + ["0"] * 4, ["0"] * 4 + [X[0] * X[1], X[0] * X[2],
+                                                      X[1] * X[2], X[1] * X[3]]])
+    assert not any(_vanishes_somewhere(r, 3) for r in m.entries)
     piece = m.graded_piece(1)
     assert rank(piece, P) == piece.shape[0] > 0
     assert epi_certificate(m, max_degree=12) == (False, None)
@@ -362,9 +366,17 @@ def test_epi_certificate_rejects_a_row_with_a_common_zero(monkeypatch):
     assert epi_certificate(three) == (False, None)
     y = [Form.variable(3, i) for i in range(3)]
     assert epi_certificate(GradedMatrix.row(3, (0, 0), 1, y[:2])) == (False, None)
+    # more than n entries, all divisible by x0, vanish on x0 = 0: the map
+    # O(-1)^4 + O(-12)^4 -> O + O(-10) with rows (x0..x3, 0) and
+    # (0, x0 x0..x3) walked to degree 30 (5.7 s) before this rule
+    start = time.perf_counter()
+    m = GradedMatrix.make(4, (-1,) * 4 + (-12,) * 4, (0, -10),
+                          [X + ["0"] * 4, ["0"] * 4 + [X[0] * x for x in X]])
+    assert epi_certificate(m) == (False, None)
+    assert time.perf_counter() - start < 1.0
     assert built == []
-    # the rule keeps its hands off n + 1 entries and off a constant entry:
-    # both maps are onto, and certified by a piece
+    # the rules keep their hands off n + 1 entries and off a constant
+    # entry: both maps are onto, and certified by a piece
     assert epi_certificate(GradedMatrix.row(3, (0,) * 3, 1, y)) == (True, 0)
     unit = GradedMatrix.row(4, (0, -1), 0, [Form.make(4, 0, {(0,) * 4: 3}), X[0]])
     assert epi_certificate(unit) == (True, 0)

@@ -8,16 +8,16 @@ import pytest
 from pnbundles import sheaves
 from pnbundles.catalog import load_catalog, parse_node
 from pnbundles.catalog_entries import rank5_p4_chain
-from pnbundles.chern import rr_chi
+from pnbundles.chern import dual_chern, rr_chi
 from pnbundles.forms import Form, monomial_basis, random_points
 from pnbundles.graded import GradedMatrix, hn_matrix
 from pnbundles.modp import batched_rank, rank, relative_rank, zeros
-from pnbundles.sheaves import (CertificationError, Cohomology, DualNode,
+from pnbundles.sheaves import (CertificationError, Cohomology, CohTable,
                                KerNode, LineSum, Presented, QuotNode, Strands,
                                SumNode, block_rows, chern_of_node,
-                               default_window, fiber_quot_rows, is_exact_cell,
-                               ker_node, kernel_into, map_rank, nvars_of,
-                               quot_node, rank_of, serre_flip, sum_node,
+                               default_window, dual_node, fiber_quot_rows,
+                               is_exact_cell, ker_node, kernel_into, map_rank,
+                               nvars_of, quot_node, rank_of, sum_node,
                                twist_node)
 
 P = 32003
@@ -40,6 +40,21 @@ def nullcorrelation_twist():
     w = GradedMatrix.column(4, 1, (2, 2, 2, 2),
                             [X[1], X[0].scale(-1), X[3], X[2].scale(-1)])
     return quot_node(w, ker_node(euler2))
+
+
+def serre_flip(table: CohTable) -> CohTable:
+    """The reference table of the dual: h^i(E^vee(l)) = h^{n-i}(E(-l-n-1))
+    by Serre duality on P^n, where E is locally free."""
+    n = table.n
+    lo, hi = -table.hi - n - 1, -table.lo - n - 1
+    return CohTable(n, lo, hi, {(i, l): table.h(n - i, -l - n - 1)
+                                for l in range(lo, hi + 1) for i in range(n + 1)})
+
+
+def flipped(window, n):
+    """The twists -l-n-1 of l in window, ascending: where E's table gives
+    the dual's on window."""
+    return range(-max(window) - n - 1, -min(window) - n)
 
 
 def test_line_sum_table(eng):
@@ -110,44 +125,40 @@ def test_sum_node_adds(eng):
     assert chern_of_node(s).rank == 4
 
 
-def test_sum_with_dual_part_has_cells_but_no_models(eng):
-    # a dual carries no section model, so neither does a sum containing one
-    s = sum_node(LineSum.make(4, (1,)), DualNode(mixed_kernel()))
-    for l in range(-6, 3):
-        parts = [eng.values(q, l) for q in s.parts]
-        assert eng.values(s, l) == tuple(a + b for a, b in zip(*parts))
-        with pytest.raises(ValueError, match="no section model available for SumNode"):
-            eng.h0_presented(s, l)
-        assert eng.hn_presented(s, l) is None
-
-
 def test_sum_of_kernel_and_quotient_models_are_blocks(eng):
-    k, q = mixed_kernel(), nullcorrelation_twist()
-    s = sum_node(k, q)
-    for l in (-6, 0, 1):
-        assert eng.strands(s, l) is eng.strands(s, l)
-        for model in (eng.h0_presented, eng.hn_presented):
-            parts = [model(k, l), model(q, l)]
-            widths = [m.ambient_dim for m in parts]
-            got = model(s, l)
-            assert got.ambient_dim == sum(widths)
-            assert np.array_equal(got.space_rows(),
-                                  block_rows([m.space_rows() for m in parts], widths))
-            assert np.array_equal(got.quot_rows(),
-                                  block_rows([m.quot_rows() for m in parts], widths))
+    # a sum with a dual part has models like any other, since the dual of
+    # a kernel onto a line sum is a quotient of one
+    for k, q in ((mixed_kernel(), nullcorrelation_twist()),
+                 (LineSum.make(4, (1,)), dual_node(mixed_kernel()))):
+        s = sum_node(k, q)
+        for l in (-6, 0, 1):
+            assert eng.strands(s, l) is eng.strands(s, l)
+            assert eng.values(s, l) == tuple(a + b for a, b in zip(eng.values(k, l),
+                                                                   eng.values(q, l)))
+            for model in (eng.h0_presented, eng.hn_presented):
+                parts = [model(k, l), model(q, l)]
+                widths = [m.ambient_dim for m in parts]
+                got = model(s, l)
+                assert got.ambient_dim == sum(widths)
+                assert np.array_equal(got.space_rows(),
+                                      block_rows([m.space_rows() for m in parts], widths))
+                assert np.array_equal(got.quot_rows(),
+                                      block_rows([m.quot_rows() for m in parts], widths))
 
 
 def test_dual_node_serre_flip(eng):
+    # the dual of the mixed kernel is a quotient of a line sum, whose
+    # table is the kernel's flipped by Serre duality
     e = mixed_kernel()
-    d = DualNode(e)
+    d = dual_node(e)
+    assert isinstance(d, QuotNode) and isinstance(d.inner, LineSum)
     for l in range(-4, 2):
         for i in range(4):
             assert eng.h(d, i, l) == eng.h(e, 3 - i, -l - 4)
-    t = eng.table(e, range(-6, 3))
-    ft = serre_flip(t)
-    for l in range(ft.lo, ft.hi + 1):
-        for i in range(4):
-            assert ft.h(i, l) == eng.h(d, i, l)
+    ft = serre_flip(eng.table(e, range(-6, 3)))
+    assert eng.table(d, range(ft.lo, ft.hi + 1)).cells == ft.cells
+    assert chern_of_node(d) == dual_chern(chern_of_node(e))
+    assert dual_node(d) == e
 
 
 def test_monotone_vanishing_property(eng):
@@ -217,7 +228,7 @@ def test_p_transform_fixed_point_chern(eng):
     cv = chern_of_node(k2)
     assert (cv.rank, cv.c) == (3, (4, 8, 0))
     transform_dual = eng.p_transform(k2)
-    cvt = chern_of_node(DualNode(transform_dual))
+    cvt = dual_chern(chern_of_node(transform_dual))
     assert (cvt.rank, cvt.c[:3]) == (3, (4, 8, 0))
 
 
@@ -352,24 +363,29 @@ def test_indeterminate_cells_are_intervals():
 
 
 def rank5_dual_chain():
-    """The dual-chain form the catalog once shipped for
-    p4-rank5-kernel-twist: the dual of ker(d4^vee onto ker d5^vee) modulo
-    u^vee.  Its table runs through a quotient, and its H^n kernel bases
-    are large."""
+    """The node whose dual the catalog once shipped for
+    p4-rank5-kernel-twist: ker(d4^vee onto ker d5^vee) modulo u^vee.  It
+    is a quotient of a kernel onto a kernel, so its dual has no one-step
+    presentation; the dual's table is its table flipped by Serre duality.
+    Its table runs through a quotient, and its H^n kernel bases are
+    large."""
     d, u = rank5_p4_chain(P)
-    return DualNode(quot_node(u.dual(), ker_node(d[4].dual(), ker_node(d[5].dual()))))
+    return quot_node(u.dual(), ker_node(d[4].dual(), ker_node(d[5].dual())))
 
 
 def test_rank5_fourfold_chain():
     eng2 = Cohomology()
-    node = rank5_dual_chain()
-    cv = chern_of_node(node)
+    inner = rank5_dual_chain()
+    with pytest.raises(ValueError, match="no one-step dual of a kernel onto a kernel"):
+        dual_node(inner)
+    cv = dual_chern(chern_of_node(inner))
     assert (cv.rank, cv.c) == (5, (4, 8, 8, 0))
-    assert eng2.h(node, 1, -1) == 1
-    assert eng2.h(node, 1, -2) == 1
-    assert eng2.h(node, 2, -3) == 1
-    assert eng2.h(node, 2, -4) == 1
-    t = eng2.table(node, range(-5, 2))
+    t = serre_flip(eng2.table(inner, flipped(range(-5, 2), 4)))
+    assert (t.lo, t.hi) == (-5, 1)
+    assert t.h(1, -1) == 1
+    assert t.h(1, -2) == 1
+    assert t.h(2, -3) == 1
+    assert t.h(2, -4) == 1
     for l in t.exact_columns():
         assert t.euler(l) == rr_chi(cv, l)
 
@@ -795,9 +811,14 @@ def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
                         lambda m, l: built.append(m) or tops.append(real_hn(m, l)) or tops[-1])
     monkeypatch.setattr(sheaves, "kernel_into",
                         lambda T, target, p: calls.append(T) or real(T, target, p))
-    node = rank5_dual_chain() if entry_id == "p4-rank5-dual-chain" else catalog_node(entry_id)
+    if entry_id == "p4-rank5-dual-chain":
+        # the dual chain's table is its inner quotient's on the flipped window
+        node, window = rank5_dual_chain(), flipped(default_window(4), 4)
+    else:
+        node = catalog_node(entry_id)
+        window = default_window(nvars_of(node) - 1)
     eng = Cohomology(CATALOG["prime"])
-    eng.table(node, default_window(nvars_of(node) - 1))
+    eng.table(node, window)
     quotients = {nd.matrix for nd, _ in eng._strands if isinstance(nd, QuotNode)}
     assert all(m in quotients for m in built) and (built or not quotients)
     assert not any(T is H or (T.size and T.shape == H.shape and np.array_equal(T, H))
@@ -837,6 +858,33 @@ def test_kernel_top_rank_rule_matches_map_rank():
     assert checked > 300
 
 
+def test_dual_node_matches_serre_flip_on_catalog_constructions():
+    # the rewritten dual runs the quotient code where E ran the kernel code,
+    # and the reverse; its cells, exact or interval, are E's flipped by
+    # Serre duality on [-n-8, 8] (P^5 on its default window: its far
+    # quotient twists take 1.4 s), its Chern data E's dualized, and its dual
+    # is E; only the kernels onto a kernel have no one-step dual
+    rewritten, refused = 0, []
+    for entry_id, node in catalog_constructions():
+        try:
+            d = dual_node(node)
+        except ValueError as exc:
+            assert str(exc) == "no one-step dual of a kernel onto a kernel", entry_id
+            refused.append(entry_id)
+            continue
+        n = nvars_of(node) - 1
+        window = default_window(n) if n == 5 else range(-n - 8, 9)
+        eng = Cohomology(CATALOG["prime"])
+        want = serre_flip(eng.table(node, window))
+        assert eng.table(d, flipped(window, n)).cells == want.cells, entry_id
+        assert chern_of_node(d) == dual_chern(chern_of_node(node)), entry_id
+        assert dual_node(d) == node, entry_id
+        rewritten += 1
+    assert rewritten == 31
+    assert refused == ["p3-kernel-onto-cotangent", "p4-wedge2-cotangent-3",
+                       "p4-rank5-kernel-twist"]
+
+
 def test_hn_strand_keeps_no_kernel_bases():
     # what the engine holds after a table of the P^4 rank-5 dual chain,
     # traced as the memory freed when the engine goes; the H^n kernel bases
@@ -845,7 +893,7 @@ def test_hn_strand_keeps_no_kernel_bases():
     tracemalloc.start()
     try:
         eng = Cohomology(CATALOG["prime"])
-        eng.table(node, default_window(4))
+        eng.table(node, flipped(default_window(4), 4))
         gc.collect()
         with_engine = tracemalloc.get_traced_memory()[0]
         del eng
