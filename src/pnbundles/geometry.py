@@ -25,9 +25,9 @@ from .forms import (Form, monomial_values, normalize_point, normalize_points,
 from .graded import GradedMatrix, piece_values
 from .modp import (DEFAULT_PRIME, check_prime, pivot_row_sizes, rank,
                    relative_rank)
-from .sheaves import (Cohomology, KerNode, LineSum, SumNode, ambient_twists,
-                      chern_of_node, fiber_quot_rows, nvars_of, prime_of,
-                      rank_of)
+from .sheaves import (Cohomology, KerNode, LineSum, QuotNode, SumNode,
+                      ambient_twists, chern_of_node, dual_node, fiber_quot_rows,
+                      nvars_of, prime_of, rank_of)
 
 __all__ = [
     "LineParam", "GGVerdict", "cayley_bacharach",
@@ -77,13 +77,15 @@ def restrict_to_line(m: GradedMatrix, line: LineParam) -> GradedMatrix:
 # -- splitting types -----------------------------------------------------------
 
 def splitting_type_on_line(node, line: LineParam) -> list[int]:
-    """Splitting degrees of a kernel-type node restricted to a line.
+    """Splitting degrees, descending, of a node restricted to a line.
 
-    Computed from the section-dimension jumps of the restricted kernel
-    over the binary-form ring.  Raises DegenerateRestriction when the
+    A kernel's are computed from the section-dimension jumps of the
+    restricted kernel over the binary-form ring.  A quotient of a line sum
+    takes the negated degrees of its dual, a kernel (`dual_node`), since
+    (E|_L)^vee = E^vee|_L.  Raises DegenerateRestriction when the
     restricted matrix drops rank somewhere on the line (the honest
     failure mode: the restriction is then not locally free of the
-    expected rank).
+    expected rank), and ValueError on a quotient of a kernel (a monad).
     """
     p = line.p
     if isinstance(node, LineSum):
@@ -93,8 +95,11 @@ def splitting_type_on_line(node, line: LineParam) -> list[int]:
         for q in node.parts:
             out.extend(splitting_type_on_line(q, line))
         return sorted(out, reverse=True)
+    if isinstance(node, QuotNode) and isinstance(node.inner, LineSum):
+        return sorted((-e for e in splitting_type_on_line(dual_node(node), line)), reverse=True)
     if not isinstance(node, KerNode):
-        raise ValueError("splitting types are computed for kernel-type nodes")
+        raise ValueError("splitting types are computed for line sums, kernels, "
+                         "quotients of line sums and sums of these")
 
     m_l = restrict_to_line(node.matrix, line)
     need = rank_of(node.target)

@@ -5,25 +5,27 @@ surjections, quotients by certified subbundle inclusions, twists and
 direct sums.  A dual is no node kind of its own: `dual_node` writes it as
 one of these (Okonek-Schneider-Spindler II.3).  Every node carries, twist
 by twist, an explicit model of H^0 (vectors of forms inside an ambient
-line-bundle sum) and, where its chain provides one, of H^n (a subquotient
-of the dual monomial model of the ambient top cohomology);
-long-exact-sequence splices then compute full tables with every
-connecting rank explicit.
+line-bundle sum); long-exact-sequence splices then compute full tables
+with every connecting rank explicit.
 
 The engine keeps one record per (node, twist l), a `Strands`: the cells
-h^0..h^n of node(l), its H^0 model and its H^n model, or None for an H^n
-model the chain cannot provide.  A record's cells are computed once, from
-the records of the node's children, and never changed.  Its models are
-built on first read, at most once.  A quotient's H^n cell comes from
-ranks alone (`map_rank`).  A kernel K = ker(F -> G) needs no rank at
-all: its map is certified onto, so H^{n+1}(K(l)) = 0 (Grothendieck
-vanishing, Hartshorne III.2.7), H^n(F(l)) -> H^n(G(l)) is onto, and its
-rank is G's exact h^n cell; no H^n matrix is built for the cells.  A
-model's space (`Presented`) may itself wait for its first read: a
-kernel's H^n basis is eliminated only then, and a quotient's or a sum's
-H^n space is assembled only then.  On the H^0 strand a record that had
-to eliminate to get its cells keeps the model that elimination gave at
+h^0..h^n of node(l) and its H^0 model.  A record's cells are computed
+once, from the records of the node's children, and never changed.  Its
+H^0 model is built on first read, at most once; a record that had to
+eliminate to get its cells keeps the model that elimination gave at
 once.
+
+The top strand needs no model.  A kernel K = ker(F -> G) needs no rank
+at all: its map is certified onto, so H^{n+1}(K(l)) = 0 (Grothendieck
+vanishing, Hartshorne III.2.7), H^n(F(l)) -> H^n(G(l)) is onto, and its
+rank is G's h^n cell; no H^n matrix is built for it.  A quotient
+Q = inner/A reads one rank, of H^n(A(l)) -> H^n(inner(l)).  The subspace
+rule gives it: a line sum F has H^{n-1}(F(l)) = 0, so when inner is F, or
+a kernel ker(F -> G) with h^{n-1}(G(l)) an exact 0, the sequence
+H^{n-1}(G(l)) -> H^n(inner(l)) -> H^n(F(l)) makes H^n(inner(l)) a subspace
+of H^n(F(l)), and the rank is that of `hn_matrix(m, l)` (Hartshorne
+III.5).  Otherwise the two top cells of Q are closed intervals, never
+guessed.
 
 Regularity rule (Castelnuovo-Mumford; Mumford, Lectures on Curves on an
 Algebraic Surface, Lecture 14): if the engine already holds the records
@@ -37,9 +39,6 @@ Certificates are exact, never sampled: `onto_certificate` proves a map
 onto a node G by one twist d >= reg(G), read from G's records, at which it
 is onto H^0(G(d)); G(d) is then globally generated.  A subobject A -> F
 is injective on fibers exactly when its dual is onto the line sum F^vee.
-
-Cells whose splice would require a model the chain cannot provide are
-reported as closed intervals, never guessed.
 """
 
 from __future__ import annotations
@@ -246,56 +245,38 @@ def chern_of_node(node) -> ChernVector:
 class Presented:
     """A subquotient span(space)/span(quot) of a coordinate space.
 
-    space is None for the full ambient space; quot is None for zero.  All
-    stored rows are over F_p.  space may be given as a function that builds
-    it; that function runs on the first read of space, once.  quot is
-    always given built: ranks into the subquotient read only quot.
+    space is None for the full ambient space.  quot is always an array of
+    rows (given as None, it has none), so a subspace has no quot rows.
+    All stored rows are over F_p.
     """
-    __slots__ = ("ambient_dim", "_space", "quot")
+    __slots__ = ("ambient_dim", "space", "quot")
 
-    def __init__(self, ambient_dim: int, space, quot: np.ndarray | None):
-        self.ambient_dim, self._space, self.quot = ambient_dim, space, quot
-
-    @property
-    def space(self) -> np.ndarray | None:
-        if callable(self._space):
-            self._space = self._space()
-        return self._space
+    def __init__(self, ambient_dim: int, space: np.ndarray | None,
+                 quot: np.ndarray | None = None):
+        self.ambient_dim, self.space = ambient_dim, space
+        self.quot = zeros(0, ambient_dim) if quot is None else quot
 
     def space_rows(self) -> np.ndarray:
         if self.space is None:
             return np.eye(self.ambient_dim, dtype=np.int64)
         return self.space
 
-    def quot_rows(self) -> np.ndarray:
-        if self.quot is None:
-            return zeros(0, self.ambient_dim)
-        return self.quot
-
 
 class Strands:
-    """What the engine knows about one node(l): its cells h^0..h^n, and
-    its H^0 and H^n models for splices through it (the H^n model is None
-    where the chain provides none).  A model is given built, or as a
+    """What the engine knows about one node(l): its cells h^0..h^n and its
+    H^0 model for splices through it.  The model is given built, or as a
     function that builds it; that function runs on the first read of the
     model, once."""
-    __slots__ = ("cells", "_h0", "_hn")
+    __slots__ = ("cells", "_h0")
 
-    def __init__(self, cells: tuple, h0, hn):
-        self.cells = cells
-        self._h0, self._hn = h0, hn
+    def __init__(self, cells: tuple, h0):
+        self.cells, self._h0 = cells, h0
 
     @property
     def h0(self) -> Presented:
         if callable(self._h0):
             self._h0 = self._h0()
         return self._h0
-
-    @property
-    def hn(self) -> Presented | None:
-        if callable(self._hn):
-            self._hn = self._hn()
-        return self._hn
 
 
 def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarray]:
@@ -311,7 +292,7 @@ def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarr
     several kernel vectors project to zero.  Only target's quot is read;
     `map_rank` gives the rank alone, with no basis.
     """
-    q = target.quot_rows()
+    q = target.quot
     m = T.shape[1]
     if q.size == 0:
         basis = kernel_basis(T, p)
@@ -325,7 +306,7 @@ def kernel_into(T: np.ndarray, target: Presented, p: int) -> tuple[int, np.ndarr
 def map_rank(T: np.ndarray, target: Presented, p: int) -> int:
     """The rank `kernel_into` gives, rank([T | quot.T]) - rank(quot), or
     rank(T) with no quot rows, from ranks alone: no kernel basis is built."""
-    q = target.quot_rows()
+    q = target.quot
     if q.size == 0:
         return rank(T, p)
     return rank(np.concatenate([T, q.T], axis=1), p) - rank(q, p)
@@ -347,14 +328,11 @@ def block_rows(blocks, widths) -> np.ndarray:
     return out
 
 
-def block_presented(parts) -> Presented | None:
-    """The direct sum of presented models, or None if a part has none."""
-    if any(q is None for q in parts):
-        return None
+def block_presented(parts) -> Presented:
+    """The direct sum of presented models."""
     dims = [q.ambient_dim for q in parts]
-    quot = block_rows([q.quot_rows() for q in parts], dims)
-    return Presented(sum(dims), lambda: block_rows([q.space_rows() for q in parts], dims),
-                     quot if quot.size else None)
+    return Presented(sum(dims), block_rows([q.space_rows() for q in parts], dims),
+                     block_rows([q.quot for q in parts], dims))
 
 
 # -- fibers at points ------------------------------------------------------------
@@ -430,12 +408,14 @@ class CohTable:
                 if all(is_exact_cell(self.h(i, l)) for i in range(self.n + 1))]
 
     def render(self) -> str:
-        width = max(len(str(self.h(i, l)))
-                    for i in range(self.n + 1) for l in range(self.lo, self.hi + 1))
-        lines = ["l:    " + "  ".join(f"{l:>{width}}" for l in range(self.lo, self.hi + 1))]
+        """The table as text, h^n on top; an interval cell prints as '?'."""
+        ls = range(self.lo, self.hi + 1)
+        width = max([len(str(l)) for l in ls] +
+                    [len(str(self.h(i, l))) for i in range(self.n + 1) for l in ls])
+        lines = ["l:    " + "  ".join(f"{l:>{width}}" for l in ls)]
         for i in range(self.n, -1, -1):
             row = []
-            for l in range(self.lo, self.hi + 1):
+            for l in ls:
                 v = self.h(i, l)
                 row.append(f"{v if is_exact_cell(v) else '?':>{width}}")
             lines.append(f"h^{i}:  " + "  ".join(row))
@@ -518,8 +498,8 @@ class Cohomology:
         src + g) + 2, 8), g = -min(m.tgt)); reg is the first d with
         h^i(target(d - i)) an exact 0 for i = 1..n.  target(d) is then
         globally generated for d >= reg (Mumford, Lecture 14), so m is onto
-        if H^0(m(d)) has rank h^0(target(d)), exact, modulo the quot rows
-        of target's H^0 model.  For a line sum reg = g, the test is full
+        if H^0(m(d)) has rank h^0(target(d)), exact, into target's H^0
+        model (`map_rank`).  For a line sum reg = g, the test is full
         row rank, and the default bound loses no verdict of a maximal-minor
         search up to degree B = max(2 (max src + g) + 2, 8): if that ideal
         holds every form of degree e <= B, it annihilates the cokernel
@@ -546,11 +526,7 @@ class Cohomology:
             rec = self.strands(target, d)
             if not is_exact_cell(rec.cells[0]):
                 continue
-            piece = m.graded_piece(d)
-            quot = rec.h0.quot_rows()
-            if quot.size:
-                piece = np.concatenate([piece, quot.T], axis=1)
-            if rank(piece, self.p) - rank(quot, self.p) == rec.cells[0]:
+            if map_rank(m.graded_piece(d), rec.h0, self.p) == rec.cells[0]:
                 return d, reg
         return None
 
@@ -577,9 +553,6 @@ class Cohomology:
     def h0_presented(self, node, l: int) -> Presented:
         return self.strands(node, l).h0
 
-    def hn_presented(self, node, l: int) -> Presented | None:
-        return self.strands(node, l).hn
-
     def _compute(self, node, l: int) -> Strands:
         nv = nvars_of(node)
         n = nv - 1
@@ -587,8 +560,7 @@ class Cohomology:
         if isinstance(node, LineSum):
             h0 = sum(space_dim(nv, a + l) for a in node.twists)
             hn = sum(space_dim(nv, -a - l - n - 1) for a in node.twists)
-            return Strands((h0,) + (0,) * (n - 1) + (hn,),
-                           Presented(h0, None, None), Presented(hn, None, None))
+            return Strands((h0,) + (0,) * (n - 1) + (hn,), Presented(h0, None))
 
         if isinstance(node, SumNode):
             parts = [self.strands(q, l) for q in node.parts]
@@ -596,8 +568,7 @@ class Cohomology:
             for i in range(n + 1):
                 lo, hi = map(sum, zip(*(cell_bounds(q.cells[i]) for q in parts)))
                 cells.append(shift_cell(0, lo, hi))
-            return Strands(tuple(cells), lambda: block_presented([q.h0 for q in parts]),
-                           lambda: block_presented([q.hn for q in parts]))
+            return Strands(tuple(cells), lambda: block_presented([q.h0 for q in parts]))
 
         if isinstance(node, KerNode):
             return self._kernel_strands(node, l)
@@ -611,13 +582,13 @@ class Cohomology:
         nv = m.nvars
         n = nv - 1
         tgt = self.strands(node.target, l)
-        tvals, tn = tgt.cells, tgt.hn
+        tvals = tgt.cells
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
 
         def section_model():
             rank0, ker0 = kernel_into(m.graded_piece(l), tgt.h0, p)
-            return rank0, Presented(dim_a0, ker0, None)
+            return rank0, Presented(dim_a0, ker0)
 
         if is_exact_cell(tvals[0]) and self._regular_at(node, l):
             # node is l-regular, so h^1(node(l)) = 0: H^0(F(l)) -> H^0(G(l))
@@ -628,19 +599,12 @@ class Cohomology:
 
         # h^1 = coker on the section strand; the middle range shifts down
         cells = (dim_a0 - rank0, shift_cell(tvals[0], -rank0)) + tvals[1:n - 1]
-        # top: h^n = h^{n-1}(target) + dim ker on the top strand
+        # top: m is certified onto, so H^{n+1}(node(l)) = 0 (Grothendieck)
+        # and the top strand is onto H^n(target(l)): h^n = h^{n-1}(target)
+        # + dim H^n(F(l)) - h^n(target), exact whenever the target's h^n is
         dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
-        if tn is None:
-            return Strands(cells + (shift_cell(tvals[n - 1], 0, dim_an),), h0, None)
-        # m is certified onto, so H^{n+1}(node(l)) = 0 (Grothendieck) and
-        # the top strand is onto H^n(target(l)): its rank is that cell
-        rank_n = tvals[n]
-        if not is_exact_cell(rank_n):
-            raise AssertionError(f"target with an H^n model has an interval h^{n}")
-        # the kernel basis is built from m on the first read
-        hn = (Presented(dim_an, lambda: kernel_into(hn_matrix(m, l), tn, p)[1], None)
-              if tvals[n - 1] == 0 else None)
-        return Strands(cells + (shift_cell(tvals[n - 1], dim_an - rank_n),), h0, hn)
+        lo, hi = cell_bounds(tvals[n])
+        return Strands(cells + (shift_cell(tvals[n - 1], dim_an - hi, dim_an - lo),), h0)
 
     def _quotient_strands(self, node: QuotNode, l: int) -> Strands:
         p = self.p
@@ -648,31 +612,28 @@ class Cohomology:
         nv = m.nvars
         n = nv - 1
         inner = self.strands(node.inner, l)
-        ivals, inn = inner.cells, inner.hn
+        ivals = inner.cells
 
         dim_a0 = sum(space_dim(nv, a + l) for a in m.src)
         dim_an = sum(space_dim(nv, -a - l - n - 1) for a in m.src)
 
         def section_model():
             # coset representatives extending the image of the degree-l
-            # piece of m inside H^0(inner)
+            # piece of m inside H^0(inner), a subspace model
             i0 = inner.h0
-            img = m.graded_piece(l).T
-            if i0.quot is not None and i0.quot.size:
-                img = np.concatenate([img, i0.quot])
-            reps = extend_to_complement(img, i0.space, p, ncols=i0.ambient_dim)
-            return Presented(i0.ambient_dim, reps, np.mod(img, p) if img.size else None)
+            img = np.mod(m.graded_piece(l).T, p)
+            return Presented(i0.ambient_dim,
+                             extend_to_complement(img, i0.space, p, ncols=i0.ambient_dim), img)
 
         cells = (shift_cell(ivals[0], -dim_a0),) + ivals[1:n - 1]
-        if inn is None:
-            return Strands(cells + (shift_cell(ivals[n - 1], 0, dim_an),
-                                    shift_cell(ivals[n], -dim_an, 0)), section_model, None)
-        T = hn_matrix(m, l)
-        kerdim = dim_an - map_rank(T, inn, p)
-        new_quot = np.concatenate([inn.quot_rows(), T.T]) if T.size else inn.quot_rows()
-        hn = Presented(inn.ambient_dim, lambda: inn.space, new_quot if new_quot.size else None)
-        return Strands(cells + (shift_cell(ivals[n - 1], kerdim),
-                                shift_cell(ivals[n], kerdim - dim_an)), section_model, hn)
+        # an interval cell is never == 0
+        if isinstance(node.inner, LineSum) or self.values(node.inner.target, l)[n - 1] == 0:
+            # H^n(inner(l)) is a subspace of H^n of its ambient line sum
+            kerdim = dim_an - rank(hn_matrix(m, l), p)
+            return Strands(cells + (shift_cell(ivals[n - 1], kerdim),
+                                    shift_cell(ivals[n], kerdim - dim_an)), section_model)
+        return Strands(cells + (shift_cell(ivals[n - 1], 0, dim_an),
+                                shift_cell(ivals[n], -dim_an, 0)), section_model)
 
     def _regular_at(self, node, l: int) -> bool:
         """Whether records already held show node to be l-regular:
@@ -704,7 +665,7 @@ class Cohomology:
         key = (node, l)
         if key not in self._sections:
             ps = self.h0_presented(node, l)
-            if ps.quot is not None and ps.quot.size and isinstance(node, (KerNode, LineSum, SumNode)):
+            if ps.quot.size and isinstance(node, (KerNode, LineSum)):
                 raise AssertionError("unexpected quotient in a subspace model")
             self._sections[key] = GradedMatrix.from_piece(
                 nvars_of(node), ambient_twists(node), l, ps.space_rows(), self.p)

@@ -101,6 +101,19 @@ def test_coh_command(kernel_node_file, capsys):
     assert cells[(1, -3)] == 1 and cells[(1, -2)] == 1
 
 
+def test_coh_command_prints_a_table(kernel_node_file, capsys):
+    # without --json: one row per h^i, h^n on top, under a row of twists,
+    # all right-aligned to one width
+    assert main(["--window=-3:-2", "coh", kernel_node_file]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "l:    -3  -2",
+        "h^3:   0   0",
+        "h^2:   0   0",
+        "h^1:   1   1",
+        "h^0:   0   0",
+    ]
+
+
 @pytest.mark.parametrize("command", ["chern", "coh"])
 def test_tall_kernel_rejected(tmp_path, capsys, command):
     # the kernel of O(-1) -> O^4 would have rank -3
@@ -179,6 +192,22 @@ def test_splits_command(tmp_path, capsys):
             "rows": [["x0", "x1", "x2^2", "x3^2"]]}}}})
     assert main(["splits", node, "--line", "0,0,1,0;0,0,0,1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["splitting"] == [2, 2, -1]
+    # a quotient of a line sum, T(-1) = O^4/O(-1), has the negated type of
+    # its dual kernel; a monad, a quotient of a kernel, is an input error
+    tangent = write(tmp_path, "t.json", {"n": 3, "construction": {"quot": {
+        "matrix": {"src": [-1], "tgt": [0, 0, 0, 0],
+                   "rows": [["x0"], ["x1"], ["x2"], ["x3"]]},
+        "of": {"sum": [0, 0, 0, 0]}}}})
+    assert main(["splits", tangent, "--line", "1,0,0,0;0,1,0,0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["splitting"] == [1, 0, 0]
+    entry = next(e for e in json.loads(Path(CATALOG).read_text())["entries"]
+                 if e["id"] == "p3-monad-rank6")
+    monad = write(tmp_path, "m.json", {"n": 3, "construction": entry["construction"]})
+    assert main(["splits", monad, "--line", "1,0,0,0;0,1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "input error: splitting types are computed for line sums, kernels, "
+        "quotients of line sums and sums of these\n")
 
 
 def test_spectra_commands(capsys):

@@ -14,7 +14,7 @@ from pnbundles.geometry import (DegenerateRestriction, GGVerdict, LineParam,
 from pnbundles.graded import GradedMatrix
 from pnbundles.modp import kernel_basis, rank
 from pnbundles.sheaves import (CertificationError, Cohomology, LineSum,
-                               ker_node, quot_node, rank_of, sum_node)
+                               ker_node, quot_node, rank_of, sum_node, twist_node)
 
 P = 32003
 X = [Form.variable(4, i) for i in range(4)]
@@ -56,6 +56,18 @@ def test_splitting_line_sum_and_direct_sum():
     s = sum_node(LineSum.make(4, (0,)), k_bundle())
     st = splitting_type_on_line(s, LineParam.make((0, 0, 1, 0), (0, 0, 0, 1)))
     assert st == [2, 2, 0, -1]
+
+
+def test_splitting_of_a_quotient_of_a_line_sum():
+    # T(-1) = O^4/O(-1) by the Euler map and its twist T are uniform on
+    # P^3: their types are the negated types of the duals, Omega(1) and
+    # Omega, taken descending
+    euler = GradedMatrix.column(4, -1, (0, 0, 0, 0), X)
+    t1 = quot_node(euler, LineSum.make(4, (0, 0, 0, 0)))
+    for a, b in (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 2, 3, 4), (4, 1, 2, 3))):
+        line = LineParam.make(a, b)
+        assert splitting_type_on_line(t1, line) == [1, 0, 0]
+        assert splitting_type_on_line(twist_node(t1, 1), line) == [2, 1, 1]
 
 
 def test_splitting_invariants_sum_and_count():

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -135,15 +136,25 @@ def test_sum_of_kernel_and_quotient_models_are_blocks(eng):
             assert eng.strands(s, l) is eng.strands(s, l)
             assert eng.values(s, l) == tuple(a + b for a, b in zip(eng.values(k, l),
                                                                    eng.values(q, l)))
-            for model in (eng.h0_presented, eng.hn_presented):
-                parts = [model(k, l), model(q, l)]
-                widths = [m.ambient_dim for m in parts]
-                got = model(s, l)
-                assert got.ambient_dim == sum(widths)
-                assert np.array_equal(got.space_rows(),
-                                      block_rows([m.space_rows() for m in parts], widths))
-                assert np.array_equal(got.quot_rows(),
-                                      block_rows([m.quot_rows() for m in parts], widths))
+            parts = [eng.h0_presented(k, l), eng.h0_presented(q, l)]
+            widths = [m.ambient_dim for m in parts]
+            got = eng.h0_presented(s, l)
+            assert got.ambient_dim == sum(widths)
+            assert np.array_equal(got.space_rows(),
+                                  block_rows([m.space_rows() for m in parts], widths))
+            assert np.array_equal(got.quot, block_rows([m.quot for m in parts], widths))
+
+
+def test_h0_basis_of_a_sum_with_a_quotient_part():
+    # a sum's block model holds its quotient part's rows, so its basis is
+    # one coset representative per section: O(1) + T(-1) on P^2, T(-1) =
+    # O^3/O(-1)
+    t = quot_node(GradedMatrix.column(3, -1, (0, 0, 0), Z), LineSum.make(3, (0, 0, 0)))
+    s = sum_node(LineSum.make(3, (1,)), t)
+    eng = Cohomology()
+    assert eng.h0_presented(s, 1).quot.size
+    assert [eng.h0_basis(s, l).ncols for l in (0, 1, 2)] == [6, 14, 25]
+    assert [eng.h(s, 0, l) for l in (0, 1, 2)] == [6, 14, 25]
 
 
 def test_dual_node_serre_flip(eng):
@@ -250,6 +261,60 @@ def test_negative_rank_constructions_rejected():
                              LineSum.make(4, (0,)))) == 0
 
 
+def test_node_input_errors():
+    # twists that do not match the child's ambient and a child of an
+    # unsupported kind are refused when built (negative ranks above)
+    euler = GradedMatrix.column(4, -1, (0,) * 4, X)
+    with pytest.raises(ValueError, match="^matrix target twists must match the target's ambient$"):
+        ker_node(GradedMatrix.row(4, (0,) * 4, 1, X), LineSum.make(4, (2,)))
+    with pytest.raises(ValueError, match="^unsupported kernel target$"):
+        ker_node(GradedMatrix.make(4, (0,) * 4, (0,) * 4,
+                                   [["1" if i == j else "0" for j in range(4)] for i in range(4)]),
+                 sum_node(LineSum.make(4, (0, 0)), LineSum.make(4, (0, 0))))
+    with pytest.raises(ValueError, match="^matrix target twists must match the inner ambient$"):
+        quot_node(euler, LineSum.make(4, (1,) * 4))
+    with pytest.raises(ValueError, match="^quotients are taken in line sums or kernel nodes$"):
+        quot_node(GradedMatrix.column(4, -2, (0,) * 4, [x * x for x in X]),
+                  quot_node(euler, LineSum.make(4, (0,) * 4)))
+
+
+def test_maps_that_do_not_land_in_their_node_are_rejected():
+    # a kernel map into the ambient of a kernel or of a quotient of one,
+    # and a subobject of a kernel, must compose to zero with the kernel's map
+    eng2 = Cohomology()
+    unit = GradedMatrix.make(4, (2,) * 4, (2,) * 4,
+                             [["1" if i == j else "0" for j in range(4)] for i in range(4)])
+    euler2 = ker_node(GradedMatrix.row(4, (2,) * 4, 3, X))
+    with pytest.raises(CertificationError, match="^kernel map does not land in the target$"):
+        eng2.certify(ker_node(unit, euler2))
+    with pytest.raises(CertificationError,
+                       match="^kernel map does not land in the quotient's carrier$"):
+        eng2.certify(ker_node(unit, nullcorrelation_twist()))
+    off = GradedMatrix.column(4, 1, (2,) * 4, [X[0], "0", "0", "0"])
+    with pytest.raises(CertificationError, match="^subobject map does not land in the node$"):
+        eng2.certify(quot_node(off, euler2))
+
+
+def test_failed_certificate_is_reraised_from_the_cache():
+    # a second certify of a rejected node raises the same message and
+    # computes nothing
+    eng2 = Cohomology()
+    bad = ker_node(GradedMatrix.row(4, (0, 0), 1, [X[0], X[1]]))
+    calls = []
+    real = eng2._certify
+    eng2._certify = lambda node: calls.append(node) or real(node)
+    with pytest.raises(CertificationError) as first:
+        eng2.certify(bad)
+    n_calls = len(calls)
+    assert n_calls >= 1
+    with pytest.raises(CertificationError, match=f"^{re.escape(str(first.value))}$"):
+        eng2.certify(bad)
+    assert len(calls) == n_calls
+    with pytest.raises(CertificationError, match=f"^{re.escape(str(first.value))}$"):
+        eng2.values(bad, 0)
+    assert len(calls) == n_calls and not eng2._strands
+
+
 def test_quotient_by_empty_map_is_the_inner_node():
     # no subobject summands: the dual map goes onto the empty sum
     inner = LineSum.make(4, (0, 1))
@@ -329,7 +394,7 @@ def test_onto_certificate_needs_exact_h0():
         rec = real(q, l)
         if q != omega:
             return rec
-        return Strands(((0, rec.cells[0]),) + rec.cells[1:], lambda: rec.h0, lambda: rec.hn)
+        return Strands(((0, rec.cells[0]),) + rec.cells[1:], lambda: rec.h0)
 
     eng2.strands = widened
     with pytest.raises(CertificationError, match=r"^map is not onto the target "):
@@ -337,10 +402,10 @@ def test_onto_certificate_needs_exact_h0():
 
 
 def test_indeterminate_cells_are_intervals():
-    # chain deep enough that a top-cohomology model goes missing: the
-    # middle layer is a kernel over a target with nonzero h^1, so its own
-    # top model is unavailable, and the quotient above it can only bound
-    # the affected cells
+    # chain deep enough that the subspace rule fails: the middle layer is a
+    # kernel over a target with nonzero h^1, so its H^n is no subspace of
+    # its ambient's, and the quotient above it can only bound the affected
+    # cells
     eng2 = Cohomology()
     squares = GradedMatrix.row(3, (2, 2, 2), 4, [z * z for z in Z])
     b = ker_node(squares)                      # rank 2, h^1(b(l)) != 0 around 0
@@ -350,7 +415,7 @@ def test_indeterminate_cells_are_intervals():
          [(Z[0] * Z[0]).scale(-1), "0", Z[2] * Z[2]],
          ["0", (Z[0] * Z[0]).scale(-1), (Z[1] * Z[1]).scale(-1)]])
     e = ker_node(syz, b)                       # rank 1 kernel inside O^3
-    assert eng2.hn_presented(e, -4) is None    # model lost where h^1(b) != 0
+    assert eng2.h(b, 1, -4) != 0
     gen = GradedMatrix.column(3, -2, (0, 0, 0),
                               [Z[2] * Z[2], (Z[1] * Z[1]).scale(-1), Z[0] * Z[0]])
     f = quot_node(gen, e)
@@ -358,8 +423,12 @@ def test_indeterminate_cells_are_intervals():
     assert not is_exact_cell(vals[1])
     lo, hi = vals[1]
     assert lo < hi
-    # cells whose splice needs no missing model stay exact
+    # cells whose splice needs no H^n rank stay exact
     assert is_exact_cell(eng2.values(f, -4)[0])
+    # the text table prints an interval cell as '?'
+    rendered = eng2.table(f, range(-4, -2)).render().splitlines()
+    assert rendered[0].split()[1:] == ["-4", "-3"]
+    assert rendered[-2].split()[:2] == ["h^1:", "?"]
 
 
 def rank5_dual_chain():
@@ -666,8 +735,6 @@ def counting_rule(eng):
 
 
 def same_model(a, b):
-    if a is None or b is None:
-        return a is b
     return a.ambient_dim == b.ambient_dim and all(
         (x is None and y is None) or (x is not None and y is not None
                                       and x.shape == y.shape and np.array_equal(x, y))
@@ -693,8 +760,7 @@ def test_regularity_rule_matches_records_without_it():
             assert rec.cells == off._strands[key].cells, (entry_id, key)
         for key, rec in on._strands.items():
             ref = off._strands[key]
-            assert same_model(rec.h0, ref.h0), (entry_id, key, "h0")
-            assert same_model(rec.hn, ref.hn), (entry_id, key, "hn")
+            assert same_model(rec.h0, ref.h0), (entry_id, key)
         if on.strands(node, 0).h0 is not None:
             got, want = on.h0_basis(node, 0), off.h0_basis(node, 0)
             assert got.ncols == want.ncols, entry_id
@@ -767,8 +833,7 @@ def test_regularity_rule_needs_exact_target_h0(monkeypatch):
     eng.table(node, range(-3, 4))
     held = ref.strands(node.target, 4)
     lo = held.cells[0]
-    eng._strands[(node.target, 4)] = Strands(((lo - 1, lo + 1),) + held.cells[1:],
-                                             held.h0, held.hn)
+    eng._strands[(node.target, 4)] = Strands(((lo - 1, lo + 1),) + held.cells[1:], held.h0)
     calls = []
     real = sheaves.kernel_into
     monkeypatch.setattr(sheaves, "kernel_into",
@@ -795,16 +860,14 @@ def test_models_are_built_on_first_read(monkeypatch):
     assert eng.h0_presented(q, 1) is eng.strands(q, 1).h0 and len(calls) == 1
 
 
-# -- the H^n strand: cells from ranks, kernel bases on first read ---------------
+# -- the H^n strand: cells from ranks, no kernel bases ------------------------
 
 @pytest.mark.parametrize("entry_id", ["p4-rank5-kernel-twist", "p3-kernel-onto-cotangent",
                                       "p4-rank5-dual-chain"])
-def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
+def test_hn_strand_eliminates_no_kernel_basis(monkeypatch, entry_id):
     # the table builds no H^n matrix of a kernel, whose top rank is its
-    # target's h^n cell, and a quotient's only for ranks: no kernel_into
-    # call takes one; each kernel's H^n model builds its basis on the first
-    # read, with kernel_into, and keeps it; a quotient's passes on its
-    # inner node's
+    # target's h^n cell, and a quotient's only for its rank: no kernel_into
+    # call takes one, and reading every H^0 model afterwards builds none
     tops, built, calls = [], [], []
     real_hn, real = sheaves.hn_matrix, sheaves.kernel_into
     monkeypatch.setattr(sheaves, "hn_matrix",
@@ -821,39 +884,44 @@ def test_hn_strand_eliminates_no_kernel_basis_until_read(monkeypatch, entry_id):
     eng.table(node, window)
     quotients = {nd.matrix for nd, _ in eng._strands if isinstance(nd, QuotNode)}
     assert all(m in quotients for m in built) and (built or not quotients)
+    n_built = len(built)
+    for key in list(eng._strands):
+        eng.h0_presented(*key)
+    assert calls and len(built) == n_built
     assert not any(T is H or (T.size and T.shape == H.shape and np.array_equal(T, H))
                    for T in calls for H in tops)
-    held = [(nd, l) for nd, l in list(eng._strands) if eng.hn_presented(nd, l) is not None]
-    kernels = [(nd, l) for nd, l in held if isinstance(nd, KerNode)]
-    assert kernels
-    for nd, l in kernels:
-        calls.clear()
-        space = eng.hn_presented(nd, l).space
-        assert len(calls) == 1 and calls[0] is tops[-1]
-        want = real(real_hn(nd.matrix, l), eng.hn_presented(nd.target, l), eng.p)[1]
-        assert space.shape == want.shape and np.array_equal(space, want), l
-        assert eng.hn_presented(nd, l).space is space and len(calls) == 1
-    for nd, l in held:
-        if isinstance(nd, QuotNode):
-            assert eng.hn_presented(nd, l).space is eng.hn_presented(nd.inner, l).space
+
+
+def hn_in_ambient(eng, node, l):
+    """Whether H^n(node(l)) is a subquotient of H^n of its ambient line sum
+    F: always for F, for a kernel onto G when h^{n-1}(G(l)) = 0 (then
+    H^n(ker) is a subspace), and for a quotient of such a node."""
+    n = nvars_of(node) - 1
+    carrier = node.inner if isinstance(node, QuotNode) else node
+    return not isinstance(carrier, KerNode) or eng.values(carrier.target, l)[n - 1] == 0
 
 
 def test_kernel_top_rank_rule_matches_map_rank():
     # a kernel of a map certified onto has H^{n+1} = 0, so its top strand
     # is onto the target's H^n: the rank the cells take from that cell is
-    # the rank map_rank gives, at every kernel record of every catalog
-    # construction on [-n-8, 8]
+    # the rank map_rank gives into a reference model of the target's H^n
+    # (quotient rows those of the quotient's H^n map, else none), at every
+    # kernel record of every catalog construction on [-n-8, 8] whose
+    # target's H^n has that model
     checked = 0
     for entry_id, node in catalog_constructions():
         n = nvars_of(node) - 1
         eng = Cohomology(CATALOG["prime"])
         eng.table(node, range(-n - 8, 9))
         for nd, l in list(eng._strands):
-            if not isinstance(nd, KerNode) or eng.hn_presented(nd.target, l) is None:
+            if not isinstance(nd, KerNode) or not hn_in_ambient(eng, nd.target, l):
                 continue
-            tn, cell = eng.hn_presented(nd.target, l), eng.values(nd.target, l)[n]
+            T, t = hn_matrix(nd.matrix, l), nd.target
+            tn = Presented(T.shape[0], None,
+                           hn_matrix(t.matrix, l).T if isinstance(t, QuotNode) else None)
+            cell = eng.values(t, l)[n]
             assert is_exact_cell(cell), (entry_id, l)
-            assert map_rank(hn_matrix(nd.matrix, l), tn, eng.p) == cell, (entry_id, l)
+            assert map_rank(T, tn, eng.p) == cell, (entry_id, l)
             checked += 1
     assert checked > 300
 
