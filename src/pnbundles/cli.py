@@ -24,7 +24,6 @@ from .exterior import InsufficientTable, beilinson_terms
 from .forms import parse_form
 from .geometry import (LineParam, cayley_bacharach, edge_avoidance,
                        is_globally_generated, splitting_type_on_line)
-from .graded import GradedMatrix
 from .modp import DEFAULT_PRIME, MAX_PRIME, check_prime
 from .pencil import classify, linear_matrix_2x4
 from .sheaves import CohTable, Cohomology, chern_of_node, is_exact_cell
@@ -67,7 +66,8 @@ def _node_from_file(path, prime):
     if expr is None:
         raise InputError("node file needs a 'construction' object")
     try:
-        return cat.parse_node(expr, int(n) + 1, prime), int(n)
+        n = cat._int("the node file's 'n'", n)
+        return cat.parse_node(expr, n + 1, prime), n
     except cat.CatalogError as exc:
         raise InputError(str(exc)) from None
 
@@ -269,14 +269,16 @@ def cmd_beilinson(args):
 
 
 def cmd_liaison(args):
-    n, terms, diffs = _fields(_load_json(args.resolution), args.resolution,
-                              "n", "terms", "diffs")
+    path = args.resolution
+    n, terms, diffs = _fields(_load_json(path), path, "n", "terms", "diffs")
+    if not isinstance(terms, list) or not isinstance(diffs, list):
+        raise InputError(f"{path}: 'terms' and 'diffs' must be lists")
     try:
-        nvars = int(n) + 1
-    except (TypeError, ValueError):
-        raise InputError(f"{args.resolution}: n must be an integer, got {n!r}") from None
-    diffs = [GradedMatrix.make(nvars, *_fields(d, args.resolution, "src", "tgt", "rows"),
-                               args.prime) for d in diffs]
+        nvars = cat._int("n", n) + 1
+        terms = [cat._ints("a term", t) for t in terms]
+        diffs = [cat.parse_matrix(d, nvars, args.prime) for d in diffs]
+    except cat.CatalogError as exc:
+        raise InputError(f"{path}: {exc}") from None
     res = FreeComplex.make(nvars, 0, terms, diffs, args.prime)
     a = parse_form(args.a, nvars, args.prime)
     b = parse_form(args.b, nvars, args.prime)

@@ -26,8 +26,7 @@ class FreeComplex:
     p: int = DEFAULT_PRIME
 
     @staticmethod
-    def make(nvars: int, lo: int, terms, diffs, p: int = DEFAULT_PRIME,
-             check: bool = True) -> "FreeComplex":
+    def make(nvars: int, lo: int, terms, diffs, p: int = DEFAULT_PRIME) -> "FreeComplex":
         terms = tuple(tuple(int(a) for a in t) for t in terms)
         diffs = tuple(diffs)
         hi = lo + len(terms) - 1
@@ -37,8 +36,7 @@ class FreeComplex:
             if d.src != terms[k + 1] or d.tgt != terms[k]:
                 raise ValueError(f"differential {k} has incompatible twists")
         cx = FreeComplex(nvars, lo, hi, terms, diffs, p)
-        if check:
-            cx.check_dd_zero()
+        cx.check_dd_zero()
         return cx
 
     def check_dd_zero(self) -> None:
@@ -223,7 +221,7 @@ def cone(maps: dict, cx: FreeComplex, cy: FreeComplex) -> FreeComplex:
             left = maps[k - 1].compose(dx) if cx.term(k - 1) else None
             right = dy.compose(fk) if dy is not None else None
             if left is not None and right is not None:
-                if not _matrix_sub(left, right).is_zero():
+                if left != right:  # forms are canonical, so maps compare entrywise
                     raise ValueError(f"not a chain map at position {k}")
             elif left is not None and not left.is_zero():
                 raise ValueError(f"not a chain map at position {k}")
@@ -257,12 +255,6 @@ def cone(maps: dict, cx: FreeComplex, cy: FreeComplex) -> FreeComplex:
                     rows[nx_tgt + r][nx_src + c] = dy.entry(r, c)
         diffs.append(GradedMatrix.make(nv, src_tw, tgt_tw, rows, p))
     return FreeComplex.make(nv, lo, tuple(terms), tuple(diffs), p)
-
-
-def _matrix_sub(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    rows = [[a.entry(i, j) - b.entry(i, j) for j in range(a.ncols)]
-            for i in range(a.nrows)]
-    return GradedMatrix.make(a.nvars, a.src, a.tgt, rows, a.p)
 
 
 # -- windowed exactness ------------------------------------------------------
@@ -332,61 +324,32 @@ def _find_unit(cx: FreeComplex):
 
 
 def _cancel(cx: FreeComplex, k: int, i: int, j: int) -> FreeComplex:
-    p, nv = cx.p, cx.nvars
+    """Gaussian elimination of the unit u = d_k[i][j] (Bar-Natan, "Fast
+    Khovanov homology computations", 2007): the summand j of term k and
+    the summand i of term k-1 go, d_k becomes the Schur complement
+    d[r][c] - d[i][c]·u⁻¹·d[r][j] off row i and column j, d_{k+1} loses
+    row j and d_{k-1} loses column i.  The result is homotopy equivalent
+    to cx."""
     d = cx.diff(k)
-    u = d.entry(i, j).coeff(tuple(0 for _ in range(nv)))
-    uinv = inv_mod(u, p)
-    ent = [[d.entry(r, c) for c in range(d.ncols)] for r in range(d.nrows)]
-    # column operations clearing row i (basis change of term k) ...
-    col_coeffs = {c: ent[i][c].scale(uinv) for c in range(d.ncols)
-                  if c != j and not ent[i][c].is_zero()}
-    for c, cf in col_coeffs.items():
-        for r in range(d.nrows):
-            ent[r][c] = ent[r][c] - cf * ent[r][j]
-    # ... mirrored as row operations on the next differential
-    dnext = cx.diff(k + 1)
-    next_ent = None
-    if dnext is not None:
-        next_ent = [[dnext.entry(r, c) for c in range(dnext.ncols)]
-                    for r in range(dnext.nrows)]
-        for c, cf in col_coeffs.items():
-            for q in range(dnext.ncols):
-                next_ent[j][q] = next_ent[j][q] + cf * next_ent[c][q]
-    # row operations clearing column j (basis change of term k-1) ...
-    row_coeffs = {r: ent[r][j].scale(uinv) for r in range(d.nrows)
-                  if r != i and not ent[r][j].is_zero()}
-    for r, cf in row_coeffs.items():
-        for c in range(d.ncols):
-            ent[r][c] = ent[r][c] - cf * ent[i][c]
-    # ... mirrored as column operations on the previous differential
-    dprev = cx.diff(k - 1)
-    prev_ent = None
-    if dprev is not None:
-        prev_ent = [[dprev.entry(r, c) for c in range(dprev.ncols)]
-                    for r in range(dprev.nrows)]
-        for r, cf in row_coeffs.items():
-            for q in range(dprev.nrows):
-                prev_ent[q][i] = prev_ent[q][i] + cf * prev_ent[q][r]
-
-    terms = [list(t) for t in cx.terms]
-    src_keep = [c for c in range(d.ncols) if c != j]
-    tgt_keep = [r for r in range(d.nrows) if r != i]
-    new_terms = list(terms)
-    new_terms[k - cx.lo] = [terms[k - cx.lo][c] for c in src_keep]
-    new_terms[k - 1 - cx.lo] = [terms[k - 1 - cx.lo][r] for r in tgt_keep]
-    diffs = list(cx.diffs)
+    uinv = inv_mod(d.entry(i, j).terms[0][1], cx.p)
+    rows = [r for r in range(d.nrows) if r != i]
+    cols = [c for c in range(d.ncols) if c != j]
+    pivot = {c: d.entry(i, c).scale(uinv) for c in cols}
+    terms, diffs = list(cx.terms), list(cx.diffs)
+    terms[k - cx.lo] = tuple(d.src[c] for c in cols)
+    terms[k - 1 - cx.lo] = tuple(d.tgt[r] for r in rows)
     diffs[k - cx.lo - 1] = GradedMatrix.make(
-        nv, new_terms[k - cx.lo], new_terms[k - 1 - cx.lo],
-        [[ent[r][c] for c in src_keep] for r in tgt_keep], p)
-    if next_ent is not None:
-        diffs[k - cx.lo] = GradedMatrix.make(
-            nv, terms[k + 1 - cx.lo], new_terms[k - cx.lo],
-            [[next_ent[r][c] for c in range(dnext.ncols)] for r in src_keep], p)
-    if prev_ent is not None:
-        diffs[k - 1 - cx.lo - 1] = GradedMatrix.make(
-            nv, new_terms[k - 1 - cx.lo], terms[k - 2 - cx.lo],
-            [[prev_ent[r][c] for c in tgt_keep] for r in range(dprev.nrows)], p)
-    return FreeComplex.make(nv, cx.lo, new_terms, diffs, p)
+        cx.nvars, terms[k - cx.lo], terms[k - 1 - cx.lo],
+        [[d.entry(r, c) - d.entry(r, j) * pivot[c] for c in cols] for r in rows], cx.p)
+    dnext, dprev = cx.diff(k + 1), cx.diff(k - 1)
+    if dnext is not None:
+        diffs[k - cx.lo] = GradedMatrix(cx.nvars, dnext.src, terms[k - cx.lo],
+                                        tuple(dnext.entries[c] for c in cols), cx.p)
+    if dprev is not None:
+        diffs[k - cx.lo - 2] = GradedMatrix(
+            cx.nvars, terms[k - 1 - cx.lo], dprev.tgt,
+            tuple(tuple(row[r] for r in rows) for row in dprev.entries), cx.p)
+    return FreeComplex.make(cx.nvars, cx.lo, terms, diffs, cx.p)
 
 
 # -- liaison -----------------------------------------------------------------

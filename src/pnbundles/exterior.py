@@ -53,36 +53,12 @@ class ExtElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, idx) -> int:
-        sidx, sign = _sort_sign(tuple(idx))
-        for k, v in self.coeffs:
-            if k == sidx:
-                return v * sign % self.p
-        return 0
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        if (self.dim, self.grade, self.p) != (other.dim, other.grade, other.p):
-            raise ValueError("grade or space mismatch")
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs:
-            acc[k] = (acc.get(k, 0) + v) % self.p
-        return ExtElement(self.dim, self.grade,
-                          tuple(sorted((k, v) for k, v in acc.items() if v)), self.p)
-
     def scale(self, c: int) -> "ExtElement":
         c = int(c) % self.p
         if c == 0:
             return ExtElement.zero(self.dim, self.grade, self.p)
         return ExtElement(self.dim, self.grade,
                           tuple((k, v * c % self.p) for k, v in self.coeffs), self.p)
-
-    def vector(self) -> np.ndarray:
-        basis = list(combinations(range(self.dim), self.grade))
-        idx = {b: i for i, b in enumerate(basis)}
-        v = np.zeros(len(basis), dtype=np.int64)
-        for k, c in self.coeffs:
-            v[idx[k]] = c
-        return v
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int]:

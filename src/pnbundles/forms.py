@@ -304,6 +304,11 @@ def parse_form(text: str, nvars: int, p: int = DEFAULT_PRIME,
                degree: int | None = None) -> Form:
     """Parse a homogeneous form from a string.
 
+    Each node of the expression tree is evaluated with `Form` arithmetic;
+    a constant 0 (mod p) evaluates to None, a zero whose degree is not
+    fixed yet, and absorbs a product.  Degrees are compared before two
+    summands are added, so "x0*x1 - x0*x1 + x2" is inhomogeneous.
+
     Raises ValueError on malformed input, inhomogeneous expressions, or a
     degree mismatch with the optional expected degree (used for zero
     entries, whose degree is not inferable from "0").
@@ -317,82 +322,53 @@ def parse_form(text: str, nvars: int, p: int = DEFAULT_PRIME,
     except SyntaxError as exc:
         raise ValueError(f"cannot parse form {text!r}: {exc}") from None
 
-    def ev(node) -> tuple[dict, int | None]:
-        # returns ({expo: coeff}, degree or None for 0)
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
+    def ev(node) -> Form | None:
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, int):
                 raise ValueError("only integer coefficients allowed")
-            c = node.value % p
-            z = tuple(0 for _ in range(nvars))
-            return ({z: c} if c else {}, 0 if c else None)
+            return Form.constant(nvars, node.value, p) if node.value % p else None
         if isinstance(node, ast.Name):
             m = _VAR_RE.match(node.id)
             if not m or int(m.group(1)) >= nvars:
                 raise ValueError(f"unknown variable {node.id!r}")
-            i = int(m.group(1))
-            return ({tuple(1 if j == i else 0 for j in range(nvars)): 1}, 1)
+            return Form.variable(nvars, int(m.group(1)), p)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            terms, d = ev(node.operand)
-            if isinstance(node.op, ast.USub):
-                terms = {e: (-c) % p for e, c in terms.items()}
-            return terms, d
+            f = ev(node.operand)
+            return f.scale(-1) if f is not None and isinstance(node.op, ast.USub) else f
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, (ast.Add, ast.Sub)):
-                lt, ld = ev(node.left)
-                rt, rd = ev(node.right)
-                if isinstance(node.op, ast.Sub):
-                    rt = {e: (-c) % p for e, c in rt.items()}
-                if ld is not None and rd is not None and ld != rd:
+                f, g = ev(node.left), ev(node.right)
+                if g is not None and isinstance(node.op, ast.Sub):
+                    g = g.scale(-1)
+                if f is None or g is None:
+                    return g if f is None else f
+                if f.degree != g.degree:
                     raise ValueError(f"inhomogeneous expression {text!r}")
-                acc = dict(lt)
-                for e, c in rt.items():
-                    acc[e] = (acc.get(e, 0) + c) % p
-                acc = {e: c for e, c in acc.items() if c}
-                return acc, ld if ld is not None else rd
+                return f + g
             if isinstance(node.op, ast.Mult):
-                lt, ld = ev(node.left)
-                rt, rd = ev(node.right)
-                if ld is None or rd is None:
-                    return {}, None
-                acc: dict = {}
-                for e1, c1 in lt.items():
-                    for e2, c2 in rt.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        acc[e] = (acc.get(e, 0) + c1 * c2) % p
-                acc = {e: c for e, c in acc.items() if c}
-                return acc, ld + rd
+                f, g = ev(node.left), ev(node.right)
+                return None if f is None or g is None else f * g
             if isinstance(node.op, ast.Pow):
                 if not (isinstance(node.right, ast.Constant)
                         and isinstance(node.right.value, int)
                         and node.right.value >= 0):
                     raise ValueError("exponent must be a nonnegative integer")
-                k = node.right.value
-                lt, ld = ev(node.left)
-                if ld is None:
-                    return ({}, None) if k else ev(ast.Constant(1))
-                acc = {tuple(0 for _ in range(nvars)): 1}
-                dd = 0
-                for _ in range(k):
-                    nxt: dict = {}
-                    for e1, c1 in acc.items():
-                        for e2, c2 in lt.items():
-                            e = tuple(a + b for a, b in zip(e1, e2))
-                            nxt[e] = (nxt.get(e, 0) + c1 * c2) % p
-                    acc = {e: c for e, c in nxt.items() if c}
-                    dd += ld
-                return acc, dd
+                f, out = ev(node.left), Form.constant(nvars, 1, p)
+                if f is None:
+                    return None if node.right.value else out
+                for _ in range(node.right.value):
+                    out = out * f
+                return out
         raise ValueError(f"unsupported syntax in form {text!r}")
 
-    terms, d = ev(tree)
-    if not terms:
+    f = ev(tree.body)
+    if f is None or f.is_zero():
         if degree is None:
             raise ValueError(f"zero form {text!r} needs an explicit degree")
         return Form.zero(nvars, degree, p)
-    if degree is not None and d != degree:
-        raise ValueError(f"form {text!r} has degree {d}, expected {degree}")
-    return Form.make(nvars, d, terms, p)
+    if degree is not None and f.degree != degree:
+        raise ValueError(f"form {text!r} has degree {f.degree}, expected {degree}")
+    return f
 
 
 def format_form(f: Form) -> str:

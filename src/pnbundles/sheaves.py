@@ -146,8 +146,18 @@ def ambient_twists(node) -> tuple:
     raise TypeError(f"not a sheaf node: {node!r}")
 
 
+def _check_dimension(matrix: GradedMatrix) -> None:
+    """ValueError unless matrix lives on P^n with n >= 2: the splices of
+    kernels and quotients take H^{n-1} of a line sum to be 0, which is
+    false on P^1.  A line sum's own cells are right on P^1 too."""
+    if matrix.nvars < 3:
+        raise ValueError(f"kernels and quotients need P^n with n >= 2, "
+                         f"got n = {matrix.nvars - 1}")
+
+
 def ker_node(matrix: GradedMatrix, target=None) -> KerNode:
     """Kernel of matrix onto `target` (default: the line sum of its rows)."""
+    _check_dimension(matrix)
     if target is None:
         target = LineSum.make(matrix.nvars, matrix.tgt, matrix.p)
     if tuple(matrix.tgt) != tuple(ambient_twists(target)):
@@ -161,6 +171,7 @@ def ker_node(matrix: GradedMatrix, target=None) -> KerNode:
 
 
 def quot_node(matrix: GradedMatrix, inner) -> QuotNode:
+    _check_dimension(matrix)
     if tuple(matrix.tgt) != tuple(ambient_twists(inner)):
         raise ValueError("matrix target twists must match the inner ambient")
     if not isinstance(inner, (LineSum, KerNode)):

@@ -296,6 +296,17 @@ def test_input_error_exit_code(tmp_path):
 
 
 _POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# the engine's kernel and quotient cells are wrong on P^1, and n is an
+# integer, not a float or a bool read as 1
+_P1_NODES = {
+    "p1-kernel": {"n": 1, "construction": {"ker": {"matrix": {
+        "src": [0, 0], "tgt": [1], "rows": [["x0", "x1"]]}}}},
+    "p1-quotient": {"n": 1, "construction": {"quot": {
+        "matrix": {"src": [-1], "tgt": [0, 0], "rows": [["x0"], ["x1"]]},
+        "of": {"sum": [0, 0]}}}},
+    "n-float": {"n": 1.5, "construction": {"sum": [0, 1]}},
+    "n-bool": {"n": True, "construction": {"sum": [0, 1]}},
+}
 _CELLS = [[0, 0, 1]]
 _DIFF = {"src": [-1], "tgt": [0], "rows": [["x0"]]}
 _LINE = "1,2,3,4;4,1,2,3"
@@ -315,6 +326,10 @@ _LINE = "1,2,3,4;4,1,2,3"
     (["liaison", "{}", "--a", "x0", "--b", "x1"], {"n": 2, "terms": [[0]]}),
     (["liaison", "{}", "--a", "x0", "--b", "x1"],
      {"n": 2, "terms": [[0]], "diffs": [{"src": [-1], "tgt": [0]}]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"],
+     {"n": 2, "terms": [[0], [-1, -1]],
+      "diffs": [{"src": [-1, -1], "tgt": [0], "rows": [[1, 2]]}]}),
+    (["liaison", "{}", "--a", "x0", "--b", "x1"], {"n": 2, "terms": 5, "diffs": [_DIFF]}),
     (["cb", "--points", "{}", "--degree", "2"], {"pts": _POINTS}),
     (["cb", "--points", "{}", "--degree", "2"], {"points": [[1, 0, 0], 5]}),
     (["cb", "--points", "{}", "--degree", "2"], {"points": [[1, None, 0]]}),
@@ -322,11 +337,14 @@ _LINE = "1,2,3,4;4,1,2,3"
     (["edges", "--points", "{}", "--line", _LINE], {"points": [1, 2, 3, 4]}),
     (["spectra"], None),
     (["spectra", "--spectrum", "0,0"], None),
+    *[([cmd, "{}"], node) for cmd in ("chern", "coh") for node in _P1_NODES.values()],
 ], ids=["chern-list", "coh-string", "gg-number", "splits-null", "beilinson-no-n",
         "beilinson-no-cells", "liaison-no-n", "liaison-null-n", "liaison-no-terms", "liaison-no-diffs",
-        "liaison-diff-no-rows", "cb-no-points", "cb-point-not-list", "cb-null-coordinate",
+        "liaison-diff-no-rows", "liaison-rows-of-numbers", "liaison-terms-number",
+        "cb-no-points", "cb-point-not-list", "cb-null-coordinate",
         "edges-no-points", "edges-point-not-list", "spectra-no-c2",
-        "spectra-spectrum-alone"])
+        "spectra-spectrum-alone",
+        *[f"{cmd}-{name}" for cmd in ("chern", "coh") for name in _P1_NODES]])
 def test_malformed_input_exits_2(tmp_path, capsys, args, payload):
     # exit 1 means a failed verification; bad input is exit 2, no traceback
     path = write(tmp_path, "input.json", payload)
@@ -374,6 +392,15 @@ def test_malformed_construction_exits_2(tmp_path, capsys, command, construction)
     assert captured.err.startswith("input error:") and "Traceback" not in captured.err
     if "dual" in construction:
         assert "no one-step dual of a kernel onto a kernel" in captured.err
+
+
+def test_line_sum_on_p1_keeps_its_cells(tmp_path, capsys):
+    # O(-1) + O(2) on P^1: h^0(O(a)) = a + 1 for a >= 0, h^1(O(a)) = -a - 1
+    path = write(tmp_path, "node.json", {"n": 1, "construction": {"sum": [-1, 2]}})
+    assert main(["coh", path, "--window=-3:1", "--json"]) == 0
+    cells = {(i, l): h for i, l, h in json.loads(capsys.readouterr().out)["cells"]}
+    assert [cells[(0, l)] for l in range(-3, 2)] == [0, 1, 2, 3, 5]
+    assert [cells[(1, l)] for l in range(-3, 2)] == [3, 2, 1, 0, 0]
 
 
 def test_cb_answers_high_degree_at_once(tmp_path, monkeypatch, capsys):

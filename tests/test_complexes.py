@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from pnbundles.complexes import (FreeComplex, LiftNotFound, cone,
                                  ferrand_liaison, ideal_member_lift, koszul,
                                  scheme_degree_from_resolution, tensor, trim,
                                  verify_exact)
-from pnbundles.forms import Form
+from pnbundles.forms import Form, monomial_basis
 from pnbundles.graded import GradedMatrix, identity_matrix
 
 P = 32003
@@ -127,6 +129,93 @@ def test_trim_cancels_unit():
     slim = trim(padded)
     assert slim.terms == cx.terms
     assert verify_exact(slim, range(0, 5)).is_exact()
+
+
+def _random_form(rng, nvars, d):
+    basis = monomial_basis(nvars, d)
+    coeffs = {m: rng.randrange(3) for m in basis}
+    coeffs[rng.choice(basis)] = 1
+    return Form.make(nvars, d, coeffs, P)
+
+
+def _mix(cx, rng):
+    """cx after a random change of basis e_b -> e_b + c·e_a of each term,
+    a and b two summands of one twist: an isomorphic complex whose units
+    are no longer split off."""
+    diffs = list(cx.diffs)
+    for k in cx.positions():
+        tw = cx.term(k)
+        pairs = [(a, b) for a in range(len(tw)) for b in range(len(tw))
+                 if a != b and tw[a] == tw[b]]
+        if not pairs:
+            continue
+        (a, b), c = rng.choice(pairs), rng.randrange(1, P)
+        phi, phi_inv = ([list(row) for row in identity_matrix(cx.nvars, tw).entries]
+                        for _ in range(2))
+        phi[a][b], phi_inv[a][b] = Form.constant(cx.nvars, c), Form.constant(cx.nvars, -c)
+        if k > cx.lo:
+            diffs[k - cx.lo - 1] = diffs[k - cx.lo - 1].compose(
+                GradedMatrix.make(cx.nvars, tw, tw, phi_inv))
+        if k < cx.hi:
+            diffs[k - cx.lo] = GradedMatrix.make(cx.nvars, tw, tw, phi).compose(
+                diffs[k - cx.lo])
+    return FreeComplex.make(cx.nvars, cx.lo, cx.terms, diffs, cx.p)
+
+
+def _units_left(cx):
+    return [f for d in cx.diffs for row in d.entries for f in row
+            if f.degree == 0 and not f.is_zero()]
+
+
+def _homology(cx, window):
+    return verify_exact(cx, window, positions=range(cx.lo, cx.hi + 1)).homology
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trim_koszul_tensor_with_unit_form(seed):
+    # a Koszul complex on a unit form is contractible, and so is its tensor
+    # product with any complex: trimming it, after a change of basis,
+    # leaves no unit entry and no term, and homology and Euler
+    # characteristic do not change
+    rng = random.Random(seed)
+    nv = rng.choice([3, 4])
+    unit = Form.constant(nv, rng.randrange(1, P))
+    factors = [koszul([unit] + [_random_form(rng, nv, rng.randint(0, 2))
+                                for _ in range(rng.randint(0, 1))])]
+    factors += [koszul([_random_form(rng, nv, rng.randint(0, 2))
+                        for _ in range(rng.randint(1, 2))]) for _ in range(2)]
+    cx = _mix(tensor(tensor(factors[0], factors[1]), factors[2]), rng)
+    slim = trim(cx)
+    assert _units_left(cx) and not _units_left(slim)
+    assert not any(slim.terms)
+    window = range(-2, 5)
+    assert _homology(slim, window) == _homology(cx, window)
+    assert [slim.euler_piece(l) for l in window] == [cx.euler_piece(l) for l in window]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trim_keeps_homology_of_padded_koszul_tensor(seed):
+    # K(x0, x1) padded with O --1--> O, tensored with Koszul complexes on
+    # forms that include x0, so homology survives: trimming cancels the
+    # units, most with a differential on both sides, and keeps the homology
+    rng = random.Random(seed)
+    cx = koszul([X[0], X[1]])
+    d1, d2 = cx.diff(1), cx.diff(2)
+    padded = FreeComplex.make(4, 0, ((0, 0), d1.src + (0,), d2.src), (
+        GradedMatrix.make(4, d1.src + (0,), (0, 0),
+                          [[d1.entry(0, 0), d1.entry(0, 1), "0"], ["0", "0", "1"]]),
+        GradedMatrix.make(4, d2.src, d1.src + (0,),
+                          [[d2.entry(0, 0)], [d2.entry(1, 0)], ["0"]])))
+    other = koszul([X[0]] + [_random_form(rng, 4, rng.randint(1, 2))
+                             for _ in range(rng.randint(1, 2))])
+    big = _mix(tensor(padded, other), rng)
+    slim = trim(big)
+    assert not _units_left(slim)
+    assert slim.terms == trim(tensor(cx, other)).terms
+    window = range(-1, 5)
+    assert _homology(slim, window) == _homology(big, window)
+    assert any(_homology(big, window).values())
+    assert [slim.euler_piece(l) for l in window] == [big.euler_piece(l) for l in window]
 
 
 def point_resolution_p2():

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -76,6 +77,53 @@ def test_format_prints_symmetric_residues(p):
 def test_parse_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         parse_form("x0 + x1*x2", 3)
+
+
+def test_parse_zero_summands_keep_their_degree():
+    # a sum that cancels still has a degree, and 0 absorbs a product
+    for text in ("x0*x1 - x0*x1 + x2", "(x0 - x0)*x1 + x2"):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            parse_form(text, 3)
+    assert parse_form("0*x0 + x1", 3) == Form.variable(3, 1)
+    assert parse_form("x0^0", 3) == Form.constant(3, 1)
+
+
+def _random_expression(rng, depth, p):
+    """A form string in x0, x1, x2 built from sums, differences, products,
+    powers ^0..^3, unary minus and the constants 0, 2, p and p + 3."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["x0", "x1", "x2", "0", str(p), "2", str(p + 3)])
+    kind = rng.choice("+-*^n")
+    if kind == "^":
+        return f"({_random_expression(rng, depth - 1, p)})^{rng.randint(0, 3)}"
+    if kind == "n":
+        return f"-({_random_expression(rng, depth - 1, p)})"
+    left, right = (_random_expression(rng, depth - 1, p) for _ in range(2))
+    return f"({left}) {kind} ({right})"
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_parse_form_matches_integer_evaluation(p):
+    # oracle: Python evaluates the same string over the integers; a parsed
+    # form takes that value mod p, and scaling the point by 2 scales it by
+    # 2^degree.  A string that parses to 0 needs a degree, and any will do.
+    rng = random.Random(p)
+    pts = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    parsed = 0
+    for _ in range(1000):
+        text = _random_expression(rng, 3, p)
+        try:
+            f = parse_form(text, 3, p)
+        except ValueError as exc:
+            if "explicit degree" not in str(exc):
+                continue
+            f = parse_form(text, 3, p, degree=0)
+        parsed += 1
+        for pt in pts:
+            value = eval(text.replace("^", "**"), dict(zip(("x0", "x1", "x2"), pt)))
+            assert f.evaluate(pt) == value % p, text
+            assert f.evaluate([2 * c for c in pt]) == pow(2, f.degree, p) * value % p, text
+    assert parsed >= 500
 
 
 def test_parse_zero_needs_degree():
